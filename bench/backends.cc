@@ -1,29 +1,27 @@
-// Head-to-head of the evaluation backends (query/backend.h) across query
-// shapes on the paper's two datasets: for each (dataset, query-shape class,
-// backend mode) this sweeps forced nfa / dfa / nfa_prefilter /
-// dfa_prefilter / reverse views plus the kAuto planner, times repeated
-// evaluation through persistent scratches (the serving configuration —
-// compiled tables and DFA memos warm across repetitions exactly as they do
-// across a server's request stream), and cross-checks an FNV-1a hash of
-// every backend's results against the reference backend. ANY divergence is
-// a correctness bug: the binary prints the offending class and exits
+// Reference evaluator vs. the planned frozen read path across query shapes
+// on the paper's two datasets: for each (dataset, query-shape class) this
+// times EvaluateOnIndex (the reference oracle over the mutable index graph)
+// against FrozenView::Evaluate (the production path: one NFA product-BFS
+// plus the required-label prefilter and the empty short-circuit, chosen by
+// a static rule — query/backend.h), reports which plan the planner took
+// for each query, the deterministic traversal counters of both paths, and
+// an FNV-1a hash of each path's results. ANY result divergence is a
+// correctness bug: the binary prints the offending class and exits
 // nonzero, which is what the CI bench-smoke job gates on.
 //
 // Usage: backends [--small] [--json PATH]
 //   --small   CI smoke shape: tiny datasets, few repetitions
-//   --json    also emit BENCH_backends.json (schema in docs/BENCHMARKS.md)
+//   --json    also emit BENCH_backends.json (schema v2, docs/BENCHMARKS.md)
 //
-// The interesting column is auto's speedup_vs_nfa per class: the planner
-// should ride the reference on literal chains (where NFA is already
-// optimal) and beat it wherever a specialist backend wins — wildcard
-// starts (reverse), selective mid-chain literals (prefilter), repeated
-// alternation/closure queries (DFA), dead labels (empty shortcircuit).
+// The frozen path is timed through one persistent scratch (the serving
+// configuration — compiled tables warm across repetitions exactly as they
+// do across a server's request stream).
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <map>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -32,17 +30,12 @@
 #include "bench/bench_json.h"
 #include "common/random.h"
 #include "index/dk_index.h"
+#include "query/evaluator.h"
 #include "query/frozen_view.h"
 #include "tests/test_util.h"
 
 namespace dki {
 namespace {
-
-const EvalBackendMode kModes[] = {
-    EvalBackendMode::kNfa,          EvalBackendMode::kDfa,
-    EvalBackendMode::kNfaPrefilter, EvalBackendMode::kDfaPrefilter,
-    EvalBackendMode::kReverse,      EvalBackendMode::kAuto,
-};
 
 struct ShapeClass {
   std::string name;
@@ -50,7 +43,7 @@ struct ShapeClass {
 };
 
 // Label of the smallest non-empty data population (skipping the document
-// root) — the most selective prefilter/reverse anchor the dataset offers —
+// root) — the most selective prefilter anchor the dataset offers —
 // and one from the largest, for unselective baselines.
 std::pair<std::string, std::string> RareAndCommonLabels(const DataGraph& g) {
   LabelId rare = kInvalidLabel, common = kInvalidLabel;
@@ -82,9 +75,8 @@ std::vector<ShapeClass> MakeClasses(const DataGraph& g, uint64_t seed) {
   for (int i = 0; i < 8; ++i) literal.texts.push_back(chain(3 + i % 3));
   classes.push_back(std::move(literal));
 
-  // Wildcard/high-fanout starts: the NFA seeds every index node; the
-  // accept side is one label bucket (reverse bait) or a rare mid-chain
-  // literal bounds the cone (prefilter bait).
+  // Wildcard/high-fanout starts: the NFA seeds every index node unless a
+  // rare required literal bounds the cone (prefilter bait).
   ShapeClass wild{"wildcard_start", {}};
   wild.texts.push_back("_." + rare);
   wild.texts.push_back("_._." + chain(1));
@@ -94,9 +86,8 @@ std::vector<ShapeClass> MakeClasses(const DataGraph& g, uint64_t seed) {
   wild.texts.push_back("_*." + common);
   classes.push_back(std::move(wild));
 
-  // Alternations and closures: state-overlap shapes where the subset
-  // construction collapses several NFA states per node (DFA bait, once the
-  // memo is warm).
+  // Alternations and closures: shapes that keep several NFA states live
+  // per index node.
   ShapeClass alt{"alternation_star", {}};
   alt.texts.push_back("(" + chain(2) + ")|(" + chain(2) + ")");
   alt.texts.push_back("(" + chain(3) + ")|(" + chain(3) + ")");
@@ -134,52 +125,57 @@ uint64_t HashResults(const std::vector<std::vector<NodeId>>& results) {
   return h;
 }
 
-struct ModeRun {
-  EvalBackendMode mode;
+struct PathRun {
   double ns_per_query = 0;
   uint64_t result_hash = 0;
-  std::map<std::string, int> plans;  // auto only: backend -> queries
+  EvalStats stats;  // summed over the class, one untimed pass
 };
 
-// Times `reps` passes of the class through one forced-mode view with a
-// persistent scratch; the first pass (compile + memo warmup) is untimed.
-ModeRun RunMode(const IndexGraph& index, const std::vector<PathExpression>& qs,
-                EvalBackendMode mode, int reps) {
-  FrozenViewOptions options;
-  options.backend = mode;
-  FrozenView view(index, options);
-  FrozenScratch scratch;
-  ModeRun run;
-  run.mode = mode;
-
+// Times `reps` passes of the class through `eval` after one untimed pass
+// that records the results and the traversal counters. ns_per_query is the
+// median pass over the class size: one descheduled pass moves a mean, not
+// a median.
+template <typename Eval>
+PathRun TimePath(const std::vector<PathExpression>& qs, int reps,
+                 const Eval& eval) {
+  PathRun run;
   std::vector<std::vector<NodeId>> results(qs.size());
   for (size_t i = 0; i < qs.size(); ++i) {
-    results[i] = view.Evaluate(qs[i], nullptr, /*validate=*/true, &scratch);
+    results[i] = eval(qs[i], &run.stats);
   }
   run.result_hash = HashResults(results);
 
-  const auto start = std::chrono::steady_clock::now();
+  std::vector<double> pass_ns;
   for (int rep = 0; rep < reps; ++rep) {
-    for (const PathExpression& q : qs) {
-      (void)view.Evaluate(q, nullptr, /*validate=*/true, &scratch);
-    }
+    const auto start = std::chrono::steady_clock::now();
+    for (const PathExpression& q : qs) (void)eval(q, nullptr);
+    pass_ns.push_back(std::chrono::duration<double, std::nano>(
+                          std::chrono::steady_clock::now() - start)
+                          .count());
   }
-  const double elapsed_ns =
-      std::chrono::duration<double, std::nano>(
-          std::chrono::steady_clock::now() - start)
-          .count();
-  run.ns_per_query = elapsed_ns / (static_cast<double>(reps) *
-                                   static_cast<double>(qs.size()));
-
-  if (mode == EvalBackendMode::kAuto) {
-    // What the planner settled on (post-warmup) for each query.
-    for (const PathExpression& q : qs) {
-      const EvalPlan plan = view.PlanQuery(q, /*validate=*/true);
-      run.plans[plan.empty ? "empty"
-                           : std::string(EvalBackendName(plan.backend))]++;
-    }
-  }
+  std::nth_element(pass_ns.begin(), pass_ns.begin() + reps / 2,
+                   pass_ns.end());
+  run.ns_per_query = pass_ns[static_cast<size_t>(reps / 2)] /
+                     static_cast<double>(qs.size());
   return run;
+}
+
+bench::Json PathRow(const std::string& path, const PathRun& run) {
+  bench::Json row = bench::Json::Object();
+  row.Set("path", bench::Json::Str(path));
+  row.Set("ns_per_query", bench::Json::Num(run.ns_per_query));
+  row.Set("index_nodes_visited",
+          bench::Json::Int(run.stats.index_nodes_visited));
+  row.Set("data_nodes_visited",
+          bench::Json::Int(run.stats.data_nodes_visited));
+  return row;
+}
+
+std::string HashHex(uint64_t h) {
+  char buf[20];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(h));
+  return buf;
 }
 
 int Main(int argc, char** argv) {
@@ -187,11 +183,17 @@ int Main(int argc, char** argv) {
   std::string json_path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--small") small = true;
-    if (arg == "--json" && i + 1 < argc) json_path = argv[++i];
+    if (arg == "--small") {
+      small = true;
+    } else if (arg == "--json" && i + 1 < argc) {
+      json_path = argv[++i];
+    } else {
+      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
+      return 2;
+    }
   }
   const double scale = small ? 0.15 : bench::ScaleFromEnv();
-  const int reps = small ? 3 : 12;
+  const int reps = small ? 3 : 25;
 
   bench::Json datasets_json = bench::Json::Array();
   bool diverged = false;
@@ -205,66 +207,73 @@ int Main(int argc, char** argv) {
 
     // The serving index: D(k) mined from the literal chains, so chain
     // answers are mostly certain while wildcard/closure shapes exercise the
-    // validate path — the mix the planner has to navigate.
+    // validate path.
     std::vector<ShapeClass> classes = MakeClasses(g, 20030609);
     auto mined = bench::MakeWorkload(g, 20, 20030609);
     LabelRequirements reqs =
         bench::MineWorkloadRequirements(mined, g.labels());
     DkIndex dk = DkIndex::Build(&g, reqs);
+    FrozenView view(dk.index());
+    FrozenScratch scratch;
 
+    std::printf("\n%-10s %-18s %14s %14s %10s  %s\n", dataset.name.c_str(),
+                "class", "reference ns", "frozen ns", "speedup", "plans");
     bench::Json classes_json = bench::Json::Array();
     for (const ShapeClass& cls : classes) {
-      std::vector<PathExpression> parsed;  // per mode: fresh memo history
-      bench::Json rows = bench::Json::Array();
-      std::printf("\n%-10s %-18s %14s %12s\n", dataset.name.c_str(),
-                  cls.name.c_str(), "ns/query", "vs nfa");
-      double nfa_ns = 0;
-      uint64_t want_hash = 0;
-      for (EvalBackendMode mode : kModes) {
-        parsed.clear();
-        for (const std::string& t : cls.texts) {
-          parsed.push_back(testing_util::MustParse(t, g.labels()));
-        }
-        ModeRun run = RunMode(dk.index(), parsed, mode, reps);
-        if (mode == EvalBackendMode::kNfa) {
-          nfa_ns = run.ns_per_query;
-          want_hash = run.result_hash;
-        } else if (run.result_hash != want_hash) {
-          std::fprintf(stderr,
-                       "RESULT DIVERGENCE: %s/%s backend %s hash %016llx != "
-                       "nfa %016llx\n",
-                       dataset.name.c_str(), cls.name.c_str(),
-                       EvalBackendModeName(mode),
-                       static_cast<unsigned long long>(run.result_hash),
-                       static_cast<unsigned long long>(want_hash));
-          diverged = true;
-        }
-        const double speedup =
-            run.ns_per_query > 0 ? nfa_ns / run.ns_per_query : 0;
-        std::printf("%-10s %-18s %14.0f %11.2fx\n", "",
-                    EvalBackendModeName(mode), run.ns_per_query, speedup);
-        bench::Json row = bench::Json::Object();
-        row.Set("backend", bench::Json::Str(
-                               std::string(EvalBackendModeName(mode))));
-        row.Set("ns_per_query", bench::Json::Num(run.ns_per_query));
-        row.Set("speedup_vs_nfa", bench::Json::Num(speedup));
-        if (!run.plans.empty()) {
-          bench::Json plans = bench::Json::Object();
-          for (const auto& [name, count] : run.plans) {
-            plans.Set(name, bench::Json::Int(count));
-          }
-          row.Set("plans", std::move(plans));
-        }
-        rows.Push(std::move(row));
+      std::vector<PathExpression> parsed;
+      for (const std::string& t : cls.texts) {
+        parsed.push_back(testing_util::MustParse(t, g.labels()));
       }
-      char hash_hex[20];
-      std::snprintf(hash_hex, sizeof(hash_hex), "%016llx",
-                    static_cast<unsigned long long>(want_hash));
+      const PathRun reference =
+          TimePath(parsed, reps, [&](const PathExpression& q, EvalStats* st) {
+            return EvaluateOnIndex(dk.index(), q, st);
+          });
+      const PathRun frozen =
+          TimePath(parsed, reps, [&](const PathExpression& q, EvalStats* st) {
+            return view.Evaluate(q, st, /*validate=*/true, &scratch);
+          });
+      if (frozen.result_hash != reference.result_hash) {
+        std::fprintf(stderr,
+                     "RESULT DIVERGENCE: %s/%s frozen hash %016llx != "
+                     "reference %016llx\n",
+                     dataset.name.c_str(), cls.name.c_str(),
+                     static_cast<unsigned long long>(frozen.result_hash),
+                     static_cast<unsigned long long>(reference.result_hash));
+        diverged = true;
+      }
+
+      // The planner's rule is static, so one plan per query says it all.
+      std::map<std::string, int> plans;
+      for (const PathExpression& q : parsed) {
+        const EvalPlan plan = view.PlanQuery(q, /*validate=*/true);
+        plans[plan.empty ? "empty" : EvalBackendName(plan.backend)]++;
+      }
+      std::string plan_text;
+      bench::Json plans_json = bench::Json::Object();
+      for (const auto& [name, count] : plans) {
+        plan_text += name + "=" + std::to_string(count) + " ";
+        plans_json.Set(name, bench::Json::Int(count));
+      }
+      const double speedup = frozen.ns_per_query > 0
+                                 ? reference.ns_per_query / frozen.ns_per_query
+                                 : 0;
+      std::printf("%-10s %-18s %14.0f %14.0f %9.2fx  %s\n", "",
+                  cls.name.c_str(), reference.ns_per_query,
+                  frozen.ns_per_query, speedup, plan_text.c_str());
+
+      bench::Json rows = bench::Json::Array();
+      rows.Push(PathRow("reference", reference));
+      bench::Json frozen_row = PathRow("frozen", frozen);
+      frozen_row.Set("speedup_vs_reference", bench::Json::Num(speedup));
+      rows.Push(std::move(frozen_row));
+
       bench::Json cls_json = bench::Json::Object();
       cls_json.Set("name", bench::Json::Str(cls.name));
       cls_json.Set("queries", bench::Json::Int(
                                   static_cast<int64_t>(cls.texts.size())));
-      cls_json.Set("result_hash", bench::Json::Str(hash_hex));
+      cls_json.Set("result_hash",
+                   bench::Json::Str(HashHex(reference.result_hash)));
+      cls_json.Set("plans", std::move(plans_json));
       cls_json.Set("rows", std::move(rows));
       classes_json.Push(std::move(cls_json));
     }
@@ -281,7 +290,7 @@ int Main(int argc, char** argv) {
   if (!json_path.empty()) {
     bench::Json root = bench::Json::Object();
     root.Set("bench", bench::Json::Str("backends"));
-    root.Set("version", bench::Json::Int(1));
+    root.Set("version", bench::Json::Int(2));
     root.Set("small", bench::Json::Bool(small));
     root.Set("reps", bench::Json::Int(reps));
     root.Set("datasets", std::move(datasets_json));
@@ -293,7 +302,7 @@ int Main(int argc, char** argv) {
     std::printf("\nwrote %s\n", json_path.c_str());
   }
   if (diverged) {
-    std::fprintf(stderr, "backends: cross-backend result divergence\n");
+    std::fprintf(stderr, "backends: frozen/reference result divergence\n");
     return 1;
   }
   return 0;

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 
 #include "common/logging.h"
 #include "common/random.h"
+#include "common/string_util.h"
 #include "datagen/nasa_generator.h"
 #include "datagen/xmark_generator.h"
 #include "graph/graph_algos.h"
@@ -18,8 +20,17 @@ namespace bench {
 double ScaleFromEnv() {
   const char* env = std::getenv("DKI_SCALE");
   if (env == nullptr) return 1.0;
-  double scale = std::atof(env);
-  return std::clamp(scale, 0.05, 100.0);
+  // Strict parse: std::atof would turn "abc" into 0 (then clamped to the
+  // smallest scale); garbage must fall back loudly to the default instead.
+  std::optional<double> scale = ParseDouble(env);
+  if (!scale.has_value()) {
+    std::fprintf(stderr,
+                 "dki: ignoring invalid DKI_SCALE='%s' (want a number); "
+                 "using 1.0\n",
+                 env);
+    return 1.0;
+  }
+  return std::clamp(*scale, 0.05, 100.0);
 }
 
 Dataset MakeXmark(double scale) {

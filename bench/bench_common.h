@@ -27,7 +27,8 @@ struct Dataset {
   std::vector<std::pair<std::string, std::string>> ref_pairs;
 };
 
-// Reads DKI_SCALE (default 1.0, clamped to [0.05, 100]).
+// Reads DKI_SCALE (default 1.0, clamped to [0.05, 100]). A value that is
+// not a whole finite number warns on stderr and falls back to 1.0.
 double ScaleFromEnv();
 
 // The paper's two datasets. `scale` multiplies the generator's base sizes

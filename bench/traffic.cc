@@ -27,12 +27,15 @@
 
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
+#include <optional>
 #include <string>
 
 #include "bench/bench_common.h"
 #include "bench/traffic_lib.h"
+#include "common/string_util.h"
 #include "io/fs_util.h"
 
 namespace dki {
@@ -52,25 +55,36 @@ int Main(int argc, char** argv) {
     } else if (arg == "--json" && i + 1 < argc) {
       json_path = argv[++i];
     } else if (arg == "--seed" && i + 1 < argc) {
-      seed = static_cast<uint64_t>(std::strtoull(argv[++i], nullptr, 10));
+      const std::optional<int64_t> v = ParseInt64InRange(
+          argv[++i], 0, std::numeric_limits<int64_t>::max());
+      if (!v.has_value()) {
+        std::fprintf(stderr, "--seed wants an integer >= 0\n");
+        return 2;
+      }
+      seed = static_cast<uint64_t>(*v);
     } else if (arg == "--shards" && i + 1 < argc) {
-      num_shards = std::atoi(argv[++i]);
-      if (num_shards < 1 || num_shards > 64) {
+      const std::optional<int64_t> v = ParseInt64InRange(argv[++i], 1, 64);
+      if (!v.has_value()) {
         std::fprintf(stderr, "--shards wants 1..64\n");
         return 2;
       }
+      num_shards = static_cast<int>(*v);
     } else if (arg == "--update-fraction" && i + 1 < argc) {
-      update_fraction = std::atof(argv[++i]);
-      if (update_fraction < 0.0 || update_fraction > 1.0) {
+      const std::optional<double> v = ParseDouble(argv[++i]);
+      if (!v.has_value() || *v < 0.0 || *v > 1.0) {
         std::fprintf(stderr, "--update-fraction wants [0, 1]\n");
         return 2;
       }
+      update_fraction = *v;
     } else if (arg == "--memory-budget-mb" && i + 1 < argc) {
-      memory_budget_mb = std::atoll(argv[++i]);
-      if (memory_budget_mb < 1) {
-        std::fprintf(stderr, "--memory-budget-mb wants >= 1\n");
+      const std::optional<int64_t> v =
+          ParseInt64InRange(argv[++i], 1, int64_t{1} << 30);
+      if (!v.has_value()) {
+        std::fprintf(stderr, "--memory-budget-mb wants 1..%lld\n",
+                     static_cast<long long>(int64_t{1} << 30));
         return 2;
       }
+      memory_budget_mb = *v;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       return 2;

@@ -1,7 +1,10 @@
 #include "common/string_util.h"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <limits>
+#include <system_error>
 
 namespace dki {
 
@@ -70,6 +73,21 @@ std::optional<int64_t> ParseInt64InRange(std::string_view s, int64_t min,
   std::optional<int64_t> v = ParseInt64(s);
   if (!v.has_value() || *v < min || *v > max) return std::nullopt;
   return v;
+}
+
+std::optional<double> ParseDouble(std::string_view s) {
+  // std::from_chars takes no leading '+'; accept one as ParseInt64 does.
+  if (!s.empty() && s.front() == '+') {
+    s.remove_prefix(1);
+    if (!s.empty() && s.front() == '-') return std::nullopt;
+  }
+  double value = 0;
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, value);
+  if (ec != std::errc() || ptr != end || !std::isfinite(value)) {
+    return std::nullopt;
+  }
+  return value;
 }
 
 }  // namespace dki

@@ -34,6 +34,14 @@ std::optional<int64_t> ParseInt64(std::string_view s);
 std::optional<int64_t> ParseInt64InRange(std::string_view s, int64_t min,
                                          int64_t max);
 
+// Strict decimal floating-point parse of the ENTIRE string, the double
+// counterpart of ParseInt64: optional leading '+' or '-', a decimal or
+// exponent form ("2.5", ".5", "1e-3"), no surrounding whitespace or
+// trailing characters, and a finite result ("inf", "nan" and overflow are
+// rejected). Locale-independent. Unlike std::atof, garbage is nullopt,
+// never 0.
+std::optional<double> ParseDouble(std::string_view s);
+
 }  // namespace dki
 
 #endif  // DKINDEX_COMMON_STRING_UTIL_H_

@@ -6,46 +6,10 @@ const char* EvalBackendName(EvalBackend backend) {
   switch (backend) {
     case EvalBackend::kNfa:
       return "nfa";
-    case EvalBackend::kDfa:
-      return "dfa";
     case EvalBackend::kNfaPrefilter:
       return "prefilter";
-    case EvalBackend::kDfaPrefilter:
-      return "dfa_prefilter";
-    case EvalBackend::kReverse:
-      return "reverse";
   }
   return "unknown";
-}
-
-const char* EvalBackendModeName(EvalBackendMode mode) {
-  switch (mode) {
-    case EvalBackendMode::kAuto:
-      return "auto";
-    case EvalBackendMode::kNfa:
-      return "nfa";
-    case EvalBackendMode::kDfa:
-      return "dfa";
-    case EvalBackendMode::kNfaPrefilter:
-      return "prefilter";
-    case EvalBackendMode::kDfaPrefilter:
-      return "dfa_prefilter";
-    case EvalBackendMode::kReverse:
-      return "reverse";
-  }
-  return "unknown";
-}
-
-std::optional<EvalBackendMode> ParseEvalBackendMode(std::string_view name) {
-  if (name == "auto") return EvalBackendMode::kAuto;
-  if (name == "nfa") return EvalBackendMode::kNfa;
-  if (name == "dfa") return EvalBackendMode::kDfa;
-  if (name == "prefilter" || name == "nfa_prefilter") {
-    return EvalBackendMode::kNfaPrefilter;
-  }
-  if (name == "dfa_prefilter") return EvalBackendMode::kDfaPrefilter;
-  if (name == "reverse") return EvalBackendMode::kReverse;
-  return std::nullopt;
 }
 
 }  // namespace dki

@@ -1,6 +1,5 @@
-// The reference evaluation backend: NFA product-BFS over the frozen index
-// graph (EvalBackend::kNfa). This is the traversal every other backend is
-// held bit-identical to — it reproduces query/evaluator.cc's EvaluateOnIndex
+// The production traversal: NFA product-BFS over the frozen index graph
+// (EvalBackend::kNfa). It reproduces query/evaluator.cc's EvaluateOnIndex
 // pop-for-pop, so EvalStats match the reference exactly (the property
 // tests/frozen_view_test.cc pins). With `use_prefilter` the seed set is
 // additionally intersected with the prefilter marks computed by

@@ -1,20 +1,15 @@
-// The evaluation-backend cost model behind FrozenView::PlanQuery
-// (query/backend.h documents the backends and thresholds). Inputs, all O(1)
-// or O(|required labels| + |start labels|) per query:
+// The static planning rule behind FrozenView::PlanQuery (query/backend.h
+// documents the traversal shapes and gates). Inputs, all O(1) or
+// O(|required labels| + |start labels|) per query:
 //
-//   * label populations from the view's inverted indexes (index side for
-//     seed/emptiness estimates, data side for reverse candidates);
+//   * label populations from the view's index-side inverted index;
 //   * automaton start fanout (Automaton::start_labels / wildcard width) on
-//     both the forward and reversed automata;
-//   * the query's evaluation history (PathExpression::dfa_memo()->evals()),
-//     so DFA-ization only kicks in once a query repeats and its memoized
-//     transition cache starts paying off.
+//     both the forward and reversed automata.
 //
-// The decision is deterministic given (view, query, validate, history).
-// Forced modes (FrozenViewOptions::backend / DKI_EVAL_BACKEND) bypass the
-// model, falling back to plain NFA where the forced backend is undefined:
-// DFA past 64 states, reverse in raw mode, prefilter without required
-// labels. Every fallback increments serve.eval.backend.planner.fallbacks.
+// The plan is a pure function of (view, query, validate): no timing, no
+// evaluation history. So repeated evaluations of one query on one view —
+// or on two views frozen from the same index — run the same traversal and
+// report the same EvalStats.
 
 #include "common/metrics.h"
 #include "query/frozen_view.h"
@@ -28,175 +23,68 @@ Counter& EmptyShortcircuits() {
   return c;
 }
 
-Counter& ForcedFallbacks() {
-  static Counter& c = MetricsRegistry::Global().GetCounter(
-      "serve.eval.backend.planner.fallbacks");
-  return c;
+EvalPlan EmptyPlan() {
+  EvalPlan plan;
+  plan.backend = EvalBackend::kNfaPrefilter;
+  plan.empty = true;
+  EmptyShortcircuits().Increment();
+  return plan;
 }
 
 }  // namespace
 
 EvalPlan FrozenView::PlanQuery(const PathExpression& query,
-                               bool validate) const {
-  EvalPlan plan;
+                               bool /*validate*/) const {
   const Automaton& fwd = query.forward();
   const Automaton& rev = query.reverse();
-  const bool dfa_ok = fwd.num_states() <= 64;
 
-  // Required-label scan, shared by every prefilter decision: emptiness plus
-  // the anchor (rarest required label by index population). kUnknownLabel
-  // entries (tags absent from the label table) have population 0.
-  bool required_empty = query.max_word_length() == -2;
+  // Required-label scan: emptiness plus the anchor (rarest required label
+  // by index population). kUnknownLabel entries (tags absent from the label
+  // table) have population 0.
+  if (query.max_word_length() == -2) return EmptyPlan();
   LabelId anchor = kInvalidLabel;
   int64_t anchor_pop = 0;
   for (LabelId lab : query.required_labels()) {
     const int64_t pop = IndexNodesWithLabel(lab);
-    if (pop == 0) {
-      required_empty = true;
-      break;
-    }
+    if (pop == 0) return EmptyPlan();
     if (anchor == kInvalidLabel || pop < anchor_pop) {
       anchor = lab;
       anchor_pop = pop;
     }
   }
 
-  switch (mode_) {
-    case EvalBackendMode::kNfa:
-      return plan;
-    case EvalBackendMode::kDfa:
-      if (!dfa_ok) {
-        ForcedFallbacks().Increment();
-        return plan;
-      }
-      plan.backend = EvalBackend::kDfa;
-      return plan;
-    case EvalBackendMode::kNfaPrefilter:
-    case EvalBackendMode::kDfaPrefilter: {
-      const bool want_dfa = mode_ == EvalBackendMode::kDfaPrefilter;
-      if (want_dfa && !dfa_ok) ForcedFallbacks().Increment();
-      const bool run_dfa = want_dfa && dfa_ok;
-      if (required_empty) {
-        plan.backend =
-            run_dfa ? EvalBackend::kDfaPrefilter : EvalBackend::kNfaPrefilter;
-        plan.empty = true;
-        EmptyShortcircuits().Increment();
-        return plan;
-      }
-      if (anchor == kInvalidLabel) {
-        // No required labels: nothing to prefilter on.
-        ForcedFallbacks().Increment();
-        plan.backend = run_dfa ? EvalBackend::kDfa : EvalBackend::kNfa;
-        return plan;
-      }
-      plan.backend =
-          run_dfa ? EvalBackend::kDfaPrefilter : EvalBackend::kNfaPrefilter;
-      plan.anchor_label = anchor;
-      return plan;
-    }
-    case EvalBackendMode::kReverse:
-      if (!validate) {
-        ForcedFallbacks().Increment();
-        return plan;
-      }
-      plan.backend = EvalBackend::kReverse;
-      return plan;
-    case EvalBackendMode::kAuto:
-      break;
-  }
-
-  // --- auto: the cost model ----------------------------------------------
-  if (required_empty) {
-    plan.backend = EvalBackend::kNfaPrefilter;
-    plan.empty = true;
-    EmptyShortcircuits().Increment();
-    return plan;
-  }
-
-  // Forward seed estimate: how many nodes can start a match, and how many
-  // (node, state) pairs the NFA backend would seed.
+  // Forward seed estimate: how many index nodes can start a match.
   int64_t seed_nodes = 0;
-  int64_t seed_pairs = 0;
-  const int wild_width = fwd.wildcard_start_width();
-  if (wild_width > 0) {
+  if (fwd.wildcard_start_width() > 0) {
     seed_nodes = num_index_nodes();
-    seed_pairs = seed_nodes * wild_width;
-  }
-  for (LabelId lab : fwd.start_labels()) {
-    const int64_t pop = IndexNodesWithLabel(lab);
-    const int64_t span = static_cast<int64_t>(fwd.StartMovesFor(lab).size());
-    if (wild_width > 0) {
-      seed_pairs += pop * (span - wild_width);  // wildcard share counted above
-    } else {
-      seed_nodes += pop;
-      seed_pairs += pop * span;
+  } else {
+    for (LabelId lab : fwd.start_labels()) {
+      seed_nodes += IndexNodesWithLabel(lab);
     }
   }
-
-  // Accept-side estimate: nodes whose label can END a word — index side for
-  // emptiness, data side as the reverse backend's candidate count.
-  int64_t end_index_nodes = 0;
-  int64_t end_data_nodes = 0;
+  // Accept-side estimate: index nodes whose label can END a word.
+  int64_t end_nodes = 0;
   if (rev.wildcard_start_width() > 0) {
-    end_index_nodes = num_index_nodes();
-    end_data_nodes = num_data_nodes();
+    end_nodes = num_index_nodes();
   } else {
     for (LabelId lab : rev.start_labels()) {
-      end_index_nodes += IndexNodesWithLabel(lab);
-      end_data_nodes += DataNodesWithLabel(lab);
+      end_nodes += IndexNodesWithLabel(lab);
     }
   }
 
   // No node can start — or end — a match: {} without traversal. (Matched
   // index nodes need an accepting run, whose first/last symbols are real
-  // index-node labels, so both populations being zero implies emptiness in
-  // raw mode too.)
-  if (seed_nodes == 0 || end_index_nodes == 0) {
-    plan.backend = EvalBackend::kNfaPrefilter;
-    plan.empty = true;
-    EmptyShortcircuits().Increment();
-    return plan;
-  }
-
-  // Reverse evaluation: each accept-side candidate costs one validation BFS
-  // (~kReverseCostFactor forward frontier expansions); take it when the
-  // accept side is that much smaller than the forward seed frontier. Only
-  // for FINITE languages — their validation BFS is depth-bounded by the
-  // word length, whereas a closure's ('_*.x') walks a candidate's entire
-  // ancestor cone, which the per-candidate cost factor badly underprices.
-  if (validate && query.max_word_length() >= 0 &&
-      end_data_nodes * kReverseCostFactor <= seed_pairs) {
-    plan.backend = EvalBackend::kReverse;
-    return plan;
-  }
+  // index-node labels, so either population being zero implies emptiness
+  // in raw mode too.)
+  if (seed_nodes == 0 || end_nodes == 0) return EmptyPlan();
 
   // Prefilter: worth an ancestor walk only when there are many seeds and
   // the anchor bucket is much rarer than the seed set.
-  const bool use_prefilter = anchor != kInvalidLabel &&
-                             seed_nodes >= kPrefilterMinSeeds &&
-                             anchor_pop * kPrefilterFactor <= seed_nodes;
-  if (use_prefilter) plan.anchor_label = anchor;
-
-  // NFA vs DFA by measured latency. The subset construction only pays when
-  // automaton states overlap at nodes (alternations, closures, wildcard
-  // starts); for chain queries its per-edge hash probe loses to the NFA's
-  // direct move-span scan. No cheap static signal separates the two, so
-  // measure: the first kDfaWarmupEvals evaluations run the NFA (recording
-  // its latency), the next runs the DFA as a trial (dfa_ns() still 0), and
-  // from then on the cheaper measured family keeps winning.
-  const std::shared_ptr<DfaMemo>& memo = query.dfa_memo();
-  bool use_dfa = false;
-  if (dfa_ok && memo != nullptr && memo->evals() >= kDfaWarmupEvals) {
-    const int64_t dfa_ns = memo->dfa_ns();
-    const int64_t nfa_ns = memo->nfa_ns();
-    use_dfa = dfa_ns == 0 || nfa_ns == 0 || dfa_ns <= nfa_ns;
-  }
-  if (use_dfa) {
-    plan.backend =
-        use_prefilter ? EvalBackend::kDfaPrefilter : EvalBackend::kDfa;
-  } else {
-    plan.backend =
-        use_prefilter ? EvalBackend::kNfaPrefilter : EvalBackend::kNfa;
+  EvalPlan plan;
+  if (anchor != kInvalidLabel && seed_nodes >= kPrefilterMinSeeds &&
+      anchor_pop * kPrefilterFactor <= seed_nodes) {
+    plan.backend = EvalBackend::kNfaPrefilter;
+    plan.anchor_label = anchor;
   }
   return plan;
 }

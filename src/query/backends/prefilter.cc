@@ -1,4 +1,4 @@
-// Required-label prefilter (EvalBackend::kNfaPrefilter / kDfaPrefilter):
+// Required-label prefilter (EvalBackend::kNfaPrefilter):
 // Hyperscan-style literal prefiltering adapted to the structural summary.
 // PathExpression::required_labels() lists labels occurring in EVERY word of
 // the language; a matching index path must therefore pass through at least
@@ -10,7 +10,7 @@
 //      ancestor-or-self of some node carrying the anchor label (the rarest
 //      required label), within max_word_length - 1 hops when the language
 //      is finite. Walking the index PARENT CSR from the anchor's bucket
-//      marks exactly that superset; the BFS backends then skip unmarked
+//      marks exactly that superset; the NFA traversal then skips unmarked
 //      seeds. Pruned seeds start no accepting path, so matched nodes,
 //      accept depths, the Theorem-1 split, and results are unchanged in
 //      both validate modes — the BFS just never wanders cones that cannot

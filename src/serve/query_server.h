@@ -131,11 +131,10 @@ class QueryServer {
   // results[i] is nullopt iff query_texts[i] failed to parse (message in
   // (*errors)[i] when given); per-query stats land in (*stats)[i], with
   // cache hits charging only result_size. Results are bit-identical to
-  // issuing the same Evaluate calls sequentially against the same snapshot
-  // regardless of which evaluation backend the planner picks; stats are too
-  // under a FORCED backend (FrozenViewOptions::backend / DKI_EVAL_BACKEND),
-  // but under kAuto traversal counters may depend on evaluation-order
-  // history (the DFA warmup in query/backends/planner.cc). Thread-safe;
+  // issuing the same Evaluate calls sequentially against the same snapshot,
+  // and so are stats: the planner's rule is static (a function of snapshot
+  // and query only), so traversal counters do not depend on evaluation
+  // order or thread count. Thread-safe;
   // only batches with cache misses serialize (on the shared fan-out pool)
   // — concurrent all-hit batches run fully in parallel.
   std::vector<std::optional<std::vector<NodeId>>> EvaluateBatch(

@@ -1,15 +1,13 @@
-// Differential suite for the evaluation backends (query/backend.h): every
-// backend — NFA reference, DFA subset construction, required-label
-// prefilter variants, reverse-automaton — and the kAuto planner must return
-// bit-identical RESULTS to the reference evaluator, on random graphs, XMark
-// and NASA, through the budgeted storage tier, across epochs, and through
-// forced-backend QueryServer configurations. (EvalStats are only defined to
-// match the reference under forced kNfa — tests/frozen_view_test.cc pins
-// that; here only results are compared.)
-//
-// Every suite evaluates each query TWICE per view: the second pass crosses
-// the planner's DFA warmup threshold (kDfaWarmupEvals), so kAuto views
-// genuinely switch backends mid-test instead of riding NFA throughout.
+// Differential suite for the planned read path (query/backend.h): whatever
+// the static planner picks — plain NFA traversal, the required-label
+// prefilter, or the empty short-circuit — FrozenView::Evaluate must return
+// RESULTS bit-identical to the reference EvaluateOnIndex, in both validate
+// modes, on random graphs, XMark and NASA, through the budgeted storage
+// tier, and across epochs. Stats are checked per plan shape: a plain kNfa
+// plan matches the reference pop-for-pop; a prefilter plan visits no more
+// index pairs and leaves every other counter unchanged; an empty plan
+// visits nothing. And the plan, hence the stats, must not depend on how
+// often or on which view a query ran before.
 
 #include <memory>
 #include <string>
@@ -28,31 +26,31 @@
 #include "query/load_analyzer.h"
 #include "query/workload.h"
 #include "serve/apply.h"
-#include "serve/query_server.h"
 #include "tests/test_util.h"
 
 namespace dki {
 namespace {
 
-// kAuto first so the other views' evaluations warm each query's shared
-// DfaMemo before auto plans — exercising history-dependent planning.
-const EvalBackendMode kAllModes[] = {
-    EvalBackendMode::kAuto,         EvalBackendMode::kNfa,
-    EvalBackendMode::kDfa,          EvalBackendMode::kNfaPrefilter,
-    EvalBackendMode::kDfaPrefilter, EvalBackendMode::kReverse,
-};
-
-FrozenViewOptions ModeOptions(EvalBackendMode mode, int64_t budget = 0) {
-  FrozenViewOptions options;
-  options.backend = mode;
-  options.memory_budget_bytes = budget;
-  return options;
+// The label with the smallest non-empty population (skipping the root): the
+// most selective prefilter anchor the graph offers.
+std::string RarestLabel(const DataGraph& g) {
+  LabelId rare = kInvalidLabel;
+  size_t rare_pop = 0;
+  for (LabelId l = 1; l < static_cast<LabelId>(g.labels().size()); ++l) {
+    const size_t pop = g.NodesWithLabel(l).size();
+    if (pop > 0 && (rare == kInvalidLabel || pop < rare_pop)) {
+      rare = l;
+      rare_pop = pop;
+    }
+  }
+  return std::string(g.labels().Name(rare));
 }
 
 // The workload generator's chains plus handwritten expressions picking the
-// shapes the planner routes differently: wildcard starts (reverse bait),
-// literal-heavy chains (prefilter bait), alternation and closures (DFA
-// bait), and dead/absent labels (empty shortcircuit).
+// shapes the planner routes differently: wildcard starts anchored on a rare
+// required label (prefilter bait once the index has kPrefilterMinSeeds
+// nodes), alternation and closures, and dead/absent labels (empty
+// short-circuit).
 std::vector<std::string> BackendQueries(const DataGraph& g, uint64_t seed) {
   Rng rng(seed);
   WorkloadOptions options;
@@ -72,63 +70,116 @@ std::vector<std::string> BackendQueries(const DataGraph& g, uint64_t seed) {
   queries.push_back("(" + b + ")|(_._)");
   queries.push_back(a + "._*");
   queries.push_back(a + "?._");
+  const std::string rare = RarestLabel(g);
+  queries.push_back("_._." + rare);
+  queries.push_back("_*." + rare);
+  queries.push_back("_." + rare + "._");
   queries.push_back("label_absent_from_this_graph");
   queries.push_back("_.label_absent_from_this_graph._");
   return queries;
 }
 
-// Checks: reference(EvaluateOnIndex) == every mode's view, both validate
-// flavors, two passes. All views share the parsed PathExpression objects,
-// so the DFA memo and eval history accumulate across modes as they would
-// across serving threads.
-void ExpectAllModesMatchReference(const IndexGraph& index, const DataGraph& g,
-                                  const std::vector<std::string>& texts,
-                                  int64_t budget = 0) {
-  std::vector<PathExpression> queries;
-  for (const std::string& t : texts) {
-    queries.push_back(testing_util::MustParse(t, g.labels()));
-  }
+std::string PlanName(const EvalPlan& plan) {
+  return plan.empty ? "empty" : EvalBackendName(plan.backend);
+}
 
-  std::vector<std::unique_ptr<FrozenView>> views;
-  std::vector<std::unique_ptr<FrozenScratch>> scratches;
-  for (EvalBackendMode mode : kAllModes) {
-    views.push_back(
-        std::make_unique<FrozenView>(index, ModeOptions(mode, budget)));
-    scratches.push_back(std::make_unique<FrozenScratch>());
-    EXPECT_EQ(views.back()->backend_mode(), mode);
-    EXPECT_EQ(views.back()->epoch(), index.epoch());
-  }
+void ExpectSameStats(const EvalStats& want, const EvalStats& got,
+                     const std::string& context) {
+  EXPECT_EQ(want.index_nodes_visited, got.index_nodes_visited) << context;
+  EXPECT_EQ(want.data_nodes_visited, got.data_nodes_visited) << context;
+  EXPECT_EQ(want.validated_candidates, got.validated_candidates) << context;
+  EXPECT_EQ(want.uncertain_index_nodes, got.uncertain_index_nodes) << context;
+  EXPECT_EQ(want.result_size, got.result_size) << context;
+}
 
-  for (int pass = 0; pass < 2; ++pass) {
-    for (size_t qi = 0; qi < queries.size(); ++qi) {
-      for (bool validate : {true, false}) {
-        const std::vector<NodeId> want =
-            EvaluateOnIndex(index, queries[qi], nullptr, validate);
-        for (size_t vi = 0; vi < views.size(); ++vi) {
-          const std::vector<NodeId> got = views[vi]->Evaluate(
-              queries[qi], nullptr, validate, scratches[vi].get());
-          EXPECT_EQ(want, got)
-              << "mode=" << EvalBackendModeName(kAllModes[vi])
-              << " budget=" << budget << " pass=" << pass
-              << " validate=" << validate << " query=" << texts[qi];
-        }
+// How often each plan shape came up in one suite, so a suite can assert it
+// actually exercised the shapes it is meant to cover.
+struct PlanCounts {
+  int nfa = 0;
+  int prefilter = 0;
+  int empty = 0;
+
+  void Add(const PlanCounts& o) {
+    nfa += o.nfa;
+    prefilter += o.prefilter;
+    empty += o.empty;
+  }
+  void ExpectAllShapes() const {
+    EXPECT_GT(nfa, 0);
+    EXPECT_GT(prefilter, 0);
+    EXPECT_GT(empty, 0);
+  }
+};
+
+// Checks planner == reference(EvaluateOnIndex) for every query in both
+// validate modes on one view of `index`, plus the per-shape stats contract
+// from the file comment.
+PlanCounts ExpectPlannerMatchesReference(const IndexGraph& index,
+                                         const DataGraph& g,
+                                         const std::vector<std::string>& texts,
+                                         int64_t budget = 0) {
+  FrozenViewOptions options;
+  options.memory_budget_bytes = budget;
+  FrozenView view(index, options);
+  FrozenScratch scratch;
+  EXPECT_EQ(view.epoch(), index.epoch());
+
+  PlanCounts counts;
+  for (const std::string& text : texts) {
+    const PathExpression query = testing_util::MustParse(text, g.labels());
+    for (bool validate : {true, false}) {
+      const EvalPlan plan = view.PlanQuery(query, validate);
+      const std::string ctx = "plan=" + PlanName(plan) + " budget=" +
+                              std::to_string(budget) + " validate=" +
+                              std::to_string(validate) + " query=" + text;
+      EvalStats want_stats, got_stats;
+      const std::vector<NodeId> want =
+          EvaluateOnIndex(index, query, &want_stats, validate);
+      const std::vector<NodeId> got =
+          view.Evaluate(query, &got_stats, validate, &scratch);
+      EXPECT_EQ(want, got) << ctx;
+
+      if (plan.empty) {
+        ++counts.empty;
+        EXPECT_TRUE(want.empty()) << ctx;
+        ExpectSameStats(EvalStats(), got_stats, ctx);
+      } else if (plan.backend == EvalBackend::kNfa) {
+        ++counts.nfa;
+        EXPECT_EQ(plan.anchor_label, kInvalidLabel) << ctx;
+        ExpectSameStats(want_stats, got_stats, ctx);
+      } else {
+        ++counts.prefilter;
+        EXPECT_NE(plan.anchor_label, kInvalidLabel) << ctx;
+        EXPECT_LE(got_stats.index_nodes_visited,
+                  want_stats.index_nodes_visited)
+            << ctx;
+        EvalStats pruned = want_stats;
+        pruned.index_nodes_visited = got_stats.index_nodes_visited;
+        ExpectSameStats(pruned, got_stats, ctx);
       }
     }
   }
+  return counts;
 }
 
-TEST(BackendDiffTest, RandomGraphsAllBackendsBitIdentical) {
+TEST(BackendDiffTest, RandomGraphsPlannerMatchesReference) {
+  // Six small graphs, then two whose A(k) index is large enough (at least
+  // kPrefilterMinSeeds nodes, twelve labels) for the prefilter gate.
   Rng rng(41);
-  for (int round = 0; round < 6; ++round) {
-    DataGraph g = testing_util::RandomGraph(/*n=*/150, /*num_labels=*/6,
-                                            /*extra_edges=*/30, &rng);
-    AkIndex ak = AkIndex::Build(&g, round % 4);
-    ExpectAllModesMatchReference(ak.index(), g,
-                                 BackendQueries(g, 1000 + round));
+  PlanCounts total;
+  for (int round = 0; round < 8; ++round) {
+    const bool large = round >= 6;
+    DataGraph g = testing_util::RandomGraph(
+        /*n=*/large ? 600 : 150, /*num_labels=*/large ? 12 : 6,
+        /*extra_edges=*/large ? 120 : 30, &rng);
+    AkIndex ak = AkIndex::Build(&g, large ? round - 4 : round % 4);
+    total.Add(ExpectPlannerMatchesReference(ak.index(), g,
+                                            BackendQueries(g, 1000 + round)));
   }
+  total.ExpectAllShapes();
 }
 
-TEST(BackendDiffTest, XmarkAllBackendsBitIdentical) {
+TEST(BackendDiffTest, XmarkPlannerMatchesReference) {
   XmarkOptions opt;
   opt.scale = 0.08;
   DataGraph g = GenerateXmarkGraph(opt).graph;
@@ -138,11 +189,14 @@ TEST(BackendDiffTest, XmarkAllBackendsBitIdentical) {
       MineRequirementsFromText(queries, g.labels(), nullptr);
   DkIndex dk = DkIndex::Build(&g, reqs);
   AkIndex a1 = AkIndex::Build(&g, 1);  // low k: the validate path dominates
-  ExpectAllModesMatchReference(dk.index(), g, queries);
-  ExpectAllModesMatchReference(a1.index(), g, queries);
+  PlanCounts total;
+  for (const IndexGraph* index : {&dk.index(), &a1.index()}) {
+    total.Add(ExpectPlannerMatchesReference(*index, g, queries));
+  }
+  total.ExpectAllShapes();
 }
 
-TEST(BackendDiffTest, NasaAllBackendsBitIdentical) {
+TEST(BackendDiffTest, NasaPlannerMatchesReference) {
   NasaOptions opt;
   opt.scale = 0.08;
   DataGraph g = GenerateNasaGraph(opt).graph;
@@ -152,27 +206,32 @@ TEST(BackendDiffTest, NasaAllBackendsBitIdentical) {
       MineRequirementsFromText(queries, g.labels(), nullptr);
   DkIndex dk = DkIndex::Build(&g, reqs);
   AkIndex a1 = AkIndex::Build(&g, 1);
-  ExpectAllModesMatchReference(dk.index(), g, queries);
-  ExpectAllModesMatchReference(a1.index(), g, queries);
+  PlanCounts total;
+  for (const IndexGraph* index : {&dk.index(), &a1.index()}) {
+    total.Add(ExpectPlannerMatchesReference(*index, g, queries));
+  }
+  total.ExpectAllShapes();
 }
 
-TEST(BackendDiffTest, BudgetedTierAllBackendsBitIdentical) {
-  // Backends over the compressed/spilled storage tier: the prefilter's
-  // index-parent walk and the reverse backend's bucket scans must read the
-  // same bytes the flat representation holds.
+TEST(BackendDiffTest, BudgetedTierPlannerMatchesReference) {
+  // The planner over the compressed/spilled storage tier: the prefilter's
+  // index-parent walk and the validation tail must read the same bytes the
+  // flat representation holds.
   XmarkOptions opt;
   opt.scale = 0.06;
   DataGraph g = GenerateXmarkGraph(opt).graph;
-  DkIndex dk = DkIndex::Build(&g, {});
-  ExpectAllModesMatchReference(dk.index(), g, BackendQueries(g, 53),
-                               /*budget=*/1);
+  std::vector<std::string> queries = BackendQueries(g, 53);
+  DkIndex dk = DkIndex::Build(
+      &g, MineRequirementsFromText(queries, g.labels(), nullptr));
+  ExpectPlannerMatchesReference(dk.index(), g, queries, /*budget=*/1)
+      .ExpectAllShapes();
 }
 
-TEST(BackendDiffTest, BackendsAgreeAcrossEpochs) {
-  // Mutate the index between freezes: every mode must track the new
+TEST(BackendDiffTest, PlannerMatchesReferenceAcrossEpochs) {
+  // Mutate the index between freezes: the planner must track the new
   // quotient, and views of the same index must carry the same epoch stamp.
   Rng rng(59);
-  DataGraph g = testing_util::RandomGraph(200, 5, 40, &rng);
+  DataGraph g = testing_util::RandomGraph(600, 12, 120, &rng);
   LabelRequirements reqs;
   for (LabelId l = 0; l < static_cast<LabelId>(g.labels().size()); ++l) {
     reqs[l] = 2;
@@ -180,8 +239,9 @@ TEST(BackendDiffTest, BackendsAgreeAcrossEpochs) {
   DkIndex dk = DkIndex::Build(&g, reqs);
 
   std::vector<std::string> queries = BackendQueries(g, 61);
+  PlanCounts total;
   for (int epoch_round = 0; epoch_round < 3; ++epoch_round) {
-    ExpectAllModesMatchReference(dk.index(), g, queries);
+    total.Add(ExpectPlannerMatchesReference(dk.index(), g, queries));
     const uint64_t before = dk.index().epoch();
     for (int i = 0; i < 5; ++i) {
       const NodeId u =
@@ -192,63 +252,64 @@ TEST(BackendDiffTest, BackendsAgreeAcrossEpochs) {
     }
     EXPECT_GT(dk.index().epoch(), before) << "round " << epoch_round;
   }
+  total.ExpectAllShapes();
 }
 
-TEST(BackendDiffTest, ForcedBackendServersBitIdentical) {
-  // End to end through the serving stack: one QueryServer per forced
-  // backend (QueryServer::Options::frozen.backend) plus kAuto, fed the same
-  // traffic and the same updates, must answer identically — single queries
-  // and batches — across republished snapshots.
-  Rng rng(67);
-  DataGraph g = testing_util::RandomGraph(250, 6, 50, &rng);
-  DkIndex dk = DkIndex::Build(&g, {});
-
-  std::vector<std::unique_ptr<QueryServer>> servers;
-  for (EvalBackendMode mode : kAllModes) {
-    QueryServer::Options options;
-    options.frozen.backend = mode;
-    servers.push_back(std::make_unique<QueryServer>(dk, options));
-  }
-
-  std::vector<std::string> texts = BackendQueries(g, 71);
-  auto expect_servers_agree = [&](const std::string& when) {
-    for (const std::string& text : texts) {
-      auto want = servers[0]->Evaluate(text);
-      ASSERT_TRUE(want.has_value()) << when << " " << text;
-      for (size_t si = 1; si < servers.size(); ++si) {
-        auto got = servers[si]->Evaluate(text);
-        ASSERT_TRUE(got.has_value()) << when << " " << text;
-        EXPECT_EQ(*want, *got)
-            << when << " mode=" << EvalBackendModeName(kAllModes[si])
-            << " query=" << text;
+// The plan is a pure function of (view, query): evaluating a query again —
+// on the same view, or on a second view frozen from the same index — must
+// pick the same plan and report the same EvalStats. Each query is shared
+// across both views and all repetitions, as a ParseCache entry is shared
+// across a server's readers.
+void ExpectPlansAndStatsRepeat(const IndexGraph& index, const DataGraph& g,
+                               const std::vector<std::string>& texts) {
+  constexpr int kRepeats = 5;
+  FrozenView first(index);
+  FrozenView second(index);
+  FrozenScratch first_scratch, second_scratch;
+  for (const std::string& text : texts) {
+    const PathExpression query = testing_util::MustParse(text, g.labels());
+    for (bool validate : {true, false}) {
+      const EvalPlan want_plan = first.PlanQuery(query, validate);
+      EvalStats want_stats;
+      first.Evaluate(query, &want_stats, validate, &first_scratch);
+      for (int rep = 0; rep < kRepeats; ++rep) {
+        for (const FrozenView* view : {&first, &second}) {
+          const std::string ctx =
+              std::string(view == &first ? "same" : "second") +
+              " view rep=" + std::to_string(rep) +
+              " validate=" + std::to_string(validate) + " query=" + text;
+          const EvalPlan plan = view->PlanQuery(query, validate);
+          EXPECT_EQ(PlanName(want_plan), PlanName(plan)) << ctx;
+          EXPECT_EQ(want_plan.anchor_label, plan.anchor_label) << ctx;
+          EvalStats stats;
+          view->Evaluate(query, &stats, validate,
+                         view == &first ? &first_scratch : &second_scratch);
+          ExpectSameStats(want_stats, stats, ctx);
+        }
       }
     }
-    std::vector<std::vector<std::optional<std::vector<NodeId>>>> batches;
-    for (auto& server : servers) {
-      batches.push_back(server->EvaluateBatch(texts));
-    }
-    for (size_t si = 1; si < batches.size(); ++si) {
-      EXPECT_EQ(batches[0], batches[si])
-          << when << " batch mode=" << EvalBackendModeName(kAllModes[si]);
-    }
-  };
-
-  expect_servers_agree("fresh");
-  for (int i = 0; i < 15; ++i) {
-    const NodeId u = static_cast<NodeId>(rng.UniformInt(1, g.NumNodes() - 1));
-    const NodeId v = static_cast<NodeId>(rng.UniformInt(1, g.NumNodes() - 1));
-    for (auto& server : servers) {
-      ASSERT_TRUE(server->SubmitAddEdge(u, v));
-    }
   }
-  for (auto& server : servers) server->Flush();
-  expect_servers_agree("after updates");
-  for (auto& server : servers) server->Stop();
 }
 
-// Satellite: EvaluateBatch's lane sizing. Floor division caps the lane
-// count so EVERY lane gets >= kMinQueriesPerLane queries and ChunkBounds
-// keeps per-lane loads within one query of each other.
+TEST(BackendDiffTest, PlannerIsDeterministicAcrossCallsAndViews) {
+  XmarkOptions xopt;
+  xopt.scale = 0.08;
+  DataGraph xmark = GenerateXmarkGraph(xopt).graph;
+  std::vector<std::string> xqueries = BackendQueries(xmark, 43);
+  DkIndex xdk = DkIndex::Build(
+      &xmark, MineRequirementsFromText(xqueries, xmark.labels(), nullptr));
+  ExpectPlansAndStatsRepeat(xdk.index(), xmark, xqueries);
+
+  NasaOptions nopt;
+  nopt.scale = 0.08;
+  DataGraph nasa = GenerateNasaGraph(nopt).graph;
+  AkIndex na1 = AkIndex::Build(&nasa, 1);
+  ExpectPlansAndStatsRepeat(na1.index(), nasa, BackendQueries(nasa, 47));
+}
+
+// EvaluateBatch's lane sizing. Floor division caps the lane count so EVERY
+// lane gets >= kMinQueriesPerLane queries and ChunkBounds keeps per-lane
+// loads within one query of each other.
 TEST(BackendDiffTest, BatchLaneSizingRespectsMinQueriesPerLane) {
   DataGraph g = testing_util::BuildMovieGraph();
   AkIndex ak = AkIndex::Build(&g, 1);
@@ -277,15 +338,6 @@ TEST(BackendDiffTest, BatchLaneSizingRespectsMinQueriesPerLane) {
     const std::vector<NodeId> want = view.Evaluate(query);
     for (const auto& r : results) EXPECT_EQ(want, r) << "total=" << c.total;
   }
-}
-
-TEST(BackendDiffTest, BackendModeNamesRoundTrip) {
-  for (EvalBackendMode mode : kAllModes) {
-    auto parsed = ParseEvalBackendMode(EvalBackendModeName(mode));
-    ASSERT_TRUE(parsed.has_value()) << EvalBackendModeName(mode);
-    EXPECT_EQ(*parsed, mode);
-  }
-  EXPECT_FALSE(ParseEvalBackendMode("no_such_backend").has_value());
 }
 
 }  // namespace

@@ -255,5 +255,21 @@ TEST(EdgeCaseTest, ParseInt64InRangeClampsNothing) {
   EXPECT_FALSE(ParseInt64InRange("abc", 0, 9).has_value());
 }
 
+TEST(EdgeCaseTest, ParseDoubleAcceptsExactlyWellFormedNumbers) {
+  EXPECT_EQ(ParseDouble("0"), 0.0);
+  EXPECT_EQ(ParseDouble("2.5"), 2.5);
+  EXPECT_EQ(ParseDouble("+0.25"), 0.25);
+  EXPECT_EQ(ParseDouble("-1.5"), -1.5);
+  EXPECT_EQ(ParseDouble(".5"), 0.5);
+  EXPECT_EQ(ParseDouble("1e3"), 1000.0);
+  EXPECT_EQ(ParseDouble("7"), 7.0);
+
+  for (const char* bad : {"", "+", "-", "abc", "4x", "0.5.", " 1", "1 ",
+                          "1,5", "+-1", "++1", "nan", "inf", "-inf",
+                          "1e999"}) {
+    EXPECT_FALSE(ParseDouble(bad).has_value()) << "'" << bad << "'";
+  }
+}
+
 }  // namespace
 }  // namespace dki

@@ -53,16 +53,11 @@ void ExpectSameStats(const EvalStats& got, const EvalStats& want,
 
 void RunDifferential(DataGraph& g, DkIndex& dk, int64_t budget,
                      const std::string& name) {
-  // Pin the reference backend on both sides: this helper compares EvalStats,
-  // which are only defined to match under a forced backend (under kAuto the
-  // planner's DFA warmup depends on per-query evaluation counts, which the
-  // two views advance in interleaved order).
-  FrozenViewOptions flat_options;
-  flat_options.backend = EvalBackendMode::kNfa;
-  FrozenView flat(dk.index(), flat_options);
+  // The planner's rule is static, so both views plan every query alike and
+  // their EvalStats must match whatever traversal shape it picks.
+  FrozenView flat(dk.index());
   FrozenViewOptions options;
   options.memory_budget_bytes = budget;
-  options.backend = EvalBackendMode::kNfa;
   FrozenView budgeted(dk.index(), options);
   EXPECT_TRUE(budgeted.budgeted());
   EXPECT_FALSE(flat.budgeted());

@@ -1,8 +1,9 @@
 // Equivalence suite for the frozen read path (query/frozen_view.h): frozen
 // evaluation — single-query, batched over 1..8 threads, and with parallel
 // uncertain-extent validation — must be bit-identical to the reference
-// evaluators, in results AND in EvalStats, across the workload generator's
-// query mix on XMark and NASA.
+// evaluators in results, across the workload generator's query mix on XMark
+// and NASA — and in EvalStats, pop for pop, whenever the planner runs the
+// plain NFA traversal (no prefilter anchor, no empty short-circuit).
 
 #include "query/frozen_view.h"
 
@@ -28,15 +29,15 @@
 namespace dki {
 namespace {
 
-// This suite pins the reference backend: EvalStats are compared pop-for-pop
-// against query/evaluator.cc, a property only forced EvalBackend::kNfa
-// guarantees (under kAuto the planner may legally pick a backend with
-// different traversal counts — tests/backend_diff_test.cc covers those and
-// holds their RESULTS bit-identical).
-FrozenViewOptions ReferenceBackend() {
-  FrozenViewOptions options;
-  options.backend = EvalBackendMode::kNfa;
-  return options;
+// True when `view` runs `query` as the plain NFA traversal, the plan whose
+// EvalStats match query/evaluator.cc pop for pop. Prefiltered and empty
+// plans visit less by design (tests/backend_diff_test.cc holds their
+// results bit-identical and bounds their stats).
+bool PlainNfaPlan(const FrozenView& view, const PathExpression& query,
+                  bool validate) {
+  const EvalPlan plan = view.PlanQuery(query, validate);
+  return !plan.empty && plan.backend == EvalBackend::kNfa &&
+         plan.anchor_label == kInvalidLabel;
 }
 
 void ExpectStatsEq(const EvalStats& want, const EvalStats& got,
@@ -49,12 +50,15 @@ void ExpectStatsEq(const EvalStats& want, const EvalStats& got,
 }
 
 // Asserts frozen == reference for one (index, query) pair, on both the
-// index path and the data-graph path, with and without validation.
-void ExpectFrozenMatchesReference(const IndexGraph& index,
-                                  const FrozenView& view,
-                                  const PathExpression& query,
-                                  FrozenScratch* scratch) {
+// index path and the data-graph path, with and without validation. Returns
+// how many index-path stats comparisons it made, so callers can assert the
+// stats check did not go vacuous.
+int ExpectFrozenMatchesReference(const IndexGraph& index,
+                                 const FrozenView& view,
+                                 const PathExpression& query,
+                                 FrozenScratch* scratch) {
   const std::string ctx = "query: " + query.text();
+  int stats_checks = 0;
   for (bool validate : {true, false}) {
     EvalStats ref_stats, frozen_stats;
     std::vector<NodeId> ref =
@@ -62,8 +66,11 @@ void ExpectFrozenMatchesReference(const IndexGraph& index,
     std::vector<NodeId> frozen =
         view.Evaluate(query, &frozen_stats, validate, scratch);
     EXPECT_EQ(ref, frozen) << ctx << " validate=" << validate;
-    ExpectStatsEq(ref_stats, frozen_stats,
-                  ctx + " validate=" + std::to_string(validate));
+    if (PlainNfaPlan(view, query, validate)) {
+      ExpectStatsEq(ref_stats, frozen_stats,
+                    ctx + " validate=" + std::to_string(validate));
+      ++stats_checks;
+    }
   }
   EvalStats ref_stats, frozen_stats;
   std::vector<NodeId> ref =
@@ -72,6 +79,7 @@ void ExpectFrozenMatchesReference(const IndexGraph& index,
       view.EvaluateOnData(query, &frozen_stats, scratch);
   EXPECT_EQ(ref, frozen) << ctx << " (data path)";
   ExpectStatsEq(ref_stats, frozen_stats, ctx + " (data path)");
+  return stats_checks;
 }
 
 // The workload generator's query mix over `graph`, plus a few handwritten
@@ -112,36 +120,40 @@ TEST(FrozenViewTest, MovieGraphMatchesReferenceOnAllIndexKinds) {
 
   const std::vector<const IndexGraph*> kinds = {&one, &a0.index(),
                                                 &a2.index(), &dk.index()};
+  int stats_checks = 0;
   for (const IndexGraph* index : kinds) {
-    FrozenView view(*index, ReferenceBackend());
+    FrozenView view(*index);
     EXPECT_EQ(view.epoch(), index->epoch());
     EXPECT_EQ(view.num_data_nodes(), g.NumNodes());
     EXPECT_EQ(view.num_index_nodes(), index->NumIndexNodes());
     EXPECT_GT(view.ApproxBytes(), 0);
     FrozenScratch scratch;  // shared across queries: exercises reuse
     for (const std::string& text : queries) {
-      ExpectFrozenMatchesReference(
+      stats_checks += ExpectFrozenMatchesReference(
           *index, view, testing_util::MustParse(text, g.labels()), &scratch);
     }
   }
+  EXPECT_GT(stats_checks, 0);
 }
 
 TEST(FrozenViewTest, RandomGraphsMatchReference) {
   Rng rng(7);
+  int stats_checks = 0;
   for (int round = 0; round < 8; ++round) {
     DataGraph g = testing_util::RandomGraph(/*n=*/120, /*num_labels=*/6,
                                             /*extra_edges=*/25, &rng);
     AkIndex ak = AkIndex::Build(&g, static_cast<int>(round % 4));
-    FrozenView view(ak.index(), ReferenceBackend());
+    FrozenView view(ak.index());
     FrozenScratch scratch;
     for (int q = 0; q < 12; ++q) {
       std::string text = testing_util::RandomChainQuery(
           g, 2 + static_cast<int>(rng.UniformInt(0, 3)), &rng);
-      ExpectFrozenMatchesReference(
+      stats_checks += ExpectFrozenMatchesReference(
           ak.index(), view, testing_util::MustParse(text, g.labels()),
           &scratch);
     }
   }
+  EXPECT_GT(stats_checks, 0);
 }
 
 TEST(FrozenViewTest, XmarkWorkloadMatchesReference) {
@@ -157,14 +169,16 @@ TEST(FrozenViewTest, XmarkWorkloadMatchesReference) {
   DkIndex dk = DkIndex::Build(&g, reqs);
   AkIndex a1 = AkIndex::Build(&g, 1);
 
+  int stats_checks = 0;
   for (const IndexGraph* index : {&dk.index(), &a1.index()}) {
-    FrozenView view(*index, ReferenceBackend());
+    FrozenView view(*index);
     FrozenScratch scratch;
     for (const std::string& text : queries) {
-      ExpectFrozenMatchesReference(
+      stats_checks += ExpectFrozenMatchesReference(
           *index, view, testing_util::MustParse(text, g.labels()), &scratch);
     }
   }
+  EXPECT_GT(stats_checks, 0);
 }
 
 TEST(FrozenViewTest, NasaWorkloadMatchesReference) {
@@ -178,14 +192,16 @@ TEST(FrozenViewTest, NasaWorkloadMatchesReference) {
   DkIndex dk = DkIndex::Build(&g, reqs);
   AkIndex a1 = AkIndex::Build(&g, 1);
 
+  int stats_checks = 0;
   for (const IndexGraph* index : {&dk.index(), &a1.index()}) {
-    FrozenView view(*index, ReferenceBackend());
+    FrozenView view(*index);
     FrozenScratch scratch;
     for (const std::string& text : queries) {
-      ExpectFrozenMatchesReference(
+      stats_checks += ExpectFrozenMatchesReference(
           *index, view, testing_util::MustParse(text, g.labels()), &scratch);
     }
   }
+  EXPECT_GT(stats_checks, 0);
 }
 
 TEST(FrozenViewTest, BatchMatchesSequentialAcrossThreadCounts) {
@@ -194,32 +210,31 @@ TEST(FrozenViewTest, BatchMatchesSequentialAcrossThreadCounts) {
   DataGraph g = GenerateXmarkGraph(opt).graph;
   std::vector<std::string> texts = MixedQueries(g, 17);
   AkIndex ak = AkIndex::Build(&g, 1);
-  FrozenView view(ak.index(), ReferenceBackend());
+  FrozenView view(ak.index());
 
   std::vector<PathExpression> queries;
   for (const std::string& t : texts) {
     queries.push_back(testing_util::MustParse(t, g.labels()));
   }
 
-  // Sequential ground truth (also the reference evaluator's answer).
+  int stats_checks = 0;
   std::vector<std::vector<NodeId>> want_results;
-  std::vector<EvalStats> want_stats;
-  for (const PathExpression& q : queries) {
-    EvalStats st;
-    want_results.push_back(EvaluateOnIndex(ak.index(), q, &st));
-    want_stats.push_back(st);
-  }
-
   for (bool validate : {true, false}) {
-    if (!validate) {
-      want_results.clear();
-      want_stats.clear();
-      for (const PathExpression& q : queries) {
-        EvalStats st;
-        want_results.push_back(
-            EvaluateOnIndex(ak.index(), q, &st, /*validate=*/false));
-        want_stats.push_back(st);
+    // Ground truth: the reference evaluator's answers, and sequential
+    // frozen stats (equal to the reference's under a plain NFA plan).
+    want_results.clear();
+    std::vector<EvalStats> want_stats;
+    FrozenScratch seq_scratch;
+    for (const PathExpression& q : queries) {
+      EvalStats ref_stats, seq_stats;
+      want_results.push_back(
+          EvaluateOnIndex(ak.index(), q, &ref_stats, validate));
+      view.Evaluate(q, &seq_stats, validate, &seq_scratch);
+      if (PlainNfaPlan(view, q, validate)) {
+        ExpectStatsEq(ref_stats, seq_stats, "sequential " + q.text());
+        ++stats_checks;
       }
+      want_stats.push_back(seq_stats);
     }
     for (int threads : {1, 2, 4, 8}) {
       ThreadPool pool(threads);
@@ -237,6 +252,7 @@ TEST(FrozenViewTest, BatchMatchesSequentialAcrossThreadCounts) {
       }
     }
   }
+  EXPECT_GT(stats_checks, 0);
   // Null pool runs inline (want_results now holds the validate=false truth).
   std::vector<std::vector<NodeId>> inline_results =
       view.EvaluateBatch(queries, nullptr, nullptr, /*validate=*/false);
@@ -253,11 +269,12 @@ TEST(FrozenViewTest, ParallelValidationMatchesSequential) {
   opt.scale = 0.12;
   DataGraph g = GenerateXmarkGraph(opt).graph;
   AkIndex a0 = AkIndex::Build(&g, 0);
-  FrozenView view(a0.index(), ReferenceBackend());
+  FrozenView view(a0.index());
   ThreadPool pool(4);
 
   std::vector<std::string> texts = MixedQueries(g, 19);
   bool exercised_fanout = false;
+  int stats_checks = 0;
   FrozenScratch seq_scratch, par_scratch;
   for (const std::string& text : texts) {
     PathExpression query = testing_util::MustParse(text, g.labels());
@@ -270,8 +287,11 @@ TEST(FrozenViewTest, ParallelValidationMatchesSequential) {
                                             &pool);
     EXPECT_EQ(ref, seq) << text;
     EXPECT_EQ(ref, par) << text;
-    ExpectStatsEq(ref_stats, seq_stats, "seq " + text);
-    ExpectStatsEq(ref_stats, par_stats, "par " + text);
+    ExpectStatsEq(seq_stats, par_stats, "par " + text);
+    if (PlainNfaPlan(view, query, /*validate=*/true)) {
+      ExpectStatsEq(ref_stats, seq_stats, "seq " + text);
+      ++stats_checks;
+    }
     if (seq_stats.validated_candidates >=
         FrozenView::kParallelValidationThreshold) {
       exercised_fanout = true;
@@ -280,6 +300,7 @@ TEST(FrozenViewTest, ParallelValidationMatchesSequential) {
   EXPECT_TRUE(exercised_fanout)
       << "workload never crossed the parallel-validation threshold; "
          "the fan-out path went untested";
+  EXPECT_GT(stats_checks, 0);
 }
 
 TEST(FrozenViewTest, ResultCacheServesFrozenPath) {

@@ -159,6 +159,13 @@ TEST(HarnessTest, ScaleFromEnvParsesAndClamps) {
   EXPECT_DOUBLE_EQ(ScaleFromEnv(), 0.05);  // clamped
   setenv("DKI_SCALE", "1e9", 1);
   EXPECT_DOUBLE_EQ(ScaleFromEnv(), 100.0);  // clamped
+  // Garbage warns and falls back to the default scale, never to the 0.05
+  // floor a lenient parse (garbage read as 0, then clamped) would give.
+  for (const char* bad : {"abc", "", "0.5x", " 2", "2 ", "1,5", "nan",
+                          "inf", "1e999", "--1"}) {
+    setenv("DKI_SCALE", bad, 1);
+    EXPECT_DOUBLE_EQ(ScaleFromEnv(), 1.0) << "'" << bad << "'";
+  }
   unsetenv("DKI_SCALE");
 }
 
