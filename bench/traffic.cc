@@ -4,7 +4,7 @@
 // serving stack, swept across offered loads, with a drift phase that
 // rotates the hot query set so the load-mining retune controller
 // promotes/demotes under fire. Emits the per-phase table to stdout and the
-// machine-readable BENCH_traffic.json (schema version 3).
+// machine-readable BENCH_traffic.json (schema version 4).
 //
 // Flags:
 //   --small        CI smoke configuration (tiny dataset, short phases)
@@ -18,17 +18,12 @@
 //                  partition into a single shard.
 //   --update-fraction F   fraction of arrivals that are edge toggles
 //                  (default 0.05; raise it to saturate the write path)
-//   --memory-budget-mb N  serve through the budgeted FrozenView storage
-//                  tier: cold adjacency/extents stay compressed (spilling
-//                  to an mmap-backed file past N MiB per view). The JSON
-//                  gains a "memory" section; unsharded runs re-check every
-//                  pool query against a flat rebuild and the binary exits
-//                  nonzero on any mismatch.
 
 #include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <limits>
 #include <optional>
 #include <string>
@@ -47,7 +42,6 @@ int Main(int argc, char** argv) {
   uint64_t seed = 20030609;
   int num_shards = 0;
   double update_fraction = -1.0;
-  int64_t memory_budget_mb = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--small") {
@@ -76,15 +70,6 @@ int Main(int argc, char** argv) {
         return 2;
       }
       update_fraction = *v;
-    } else if (arg == "--memory-budget-mb" && i + 1 < argc) {
-      const std::optional<int64_t> v =
-          ParseInt64InRange(argv[++i], 1, int64_t{1} << 30);
-      if (!v.has_value()) {
-        std::fprintf(stderr, "--memory-budget-mb wants 1..%lld\n",
-                     static_cast<long long>(int64_t{1} << 30));
-        return 2;
-      }
-      memory_budget_mb = *v;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       return 2;
@@ -99,7 +84,6 @@ int Main(int argc, char** argv) {
   bench::TrafficOptions opts;
   opts.seed = seed;
   opts.num_shards = num_shards;
-  opts.memory_budget_mb = memory_budget_mb;
   if (update_fraction >= 0.0) opts.update_fraction = update_fraction;
   if (small) {
     opts.query_pool = 32;
@@ -111,8 +95,12 @@ int Main(int argc, char** argv) {
     opts.control_interval_ms = 80.0;
     opts.min_tracked_queries = 8;
   }
-  // Durability on, in a per-run temp dir, so WAL deltas are real numbers.
-  std::string wal_dir = "/tmp/dki_traffic_" + std::to_string(::getpid());
+  // Durability on, in a per-run temp dir (removed when the run ends), so WAL
+  // deltas are real numbers.
+  const std::string wal_dir =
+      (std::filesystem::temp_directory_path() /
+       ("dki_traffic_" + std::to_string(::getpid())))
+          .string();
   std::string error;
   if (EnsureDir(wal_dir, &error)) {
     opts.durability_dir = wal_dir;
@@ -129,6 +117,10 @@ int Main(int argc, char** argv) {
       opts.num_shards);
 
   bench::TrafficResult result = bench::RunTraffic(dataset, opts);
+  if (!opts.durability_dir.empty()) {
+    std::error_code ec;
+    std::filesystem::remove_all(opts.durability_dir, ec);
+  }
   bench::PrintTrafficResult(result);
 
   bench::Json json = bench::TrafficResultToJson(result, opts);
@@ -137,15 +129,6 @@ int Main(int argc, char** argv) {
     return 1;
   }
   std::printf("\nwrote %s\n", json_path.c_str());
-
-  if (result.memory.exactness_mismatches > 0) {
-    std::fprintf(stderr,
-                 "traffic: budgeted serving diverged from flat on %lld/%lld "
-                 "pool queries\n",
-                 static_cast<long long>(result.memory.exactness_mismatches),
-                 static_cast<long long>(result.memory.exactness_queries));
-    return 1;
-  }
   return 0;
 }
 

@@ -55,6 +55,21 @@ AstPtr AstNode::Opt(AstPtr child) {
   return Unary(AstKind::kOpt, std::move(child));
 }
 
+namespace {
+
+// "(left<op>right)", built by appending: GCC 12 at -O3 reports a bogus
+// -Wrestrict overlap for `"(" + std::string&&`.
+std::string BinaryToString(const AstNode& node, char op) {
+  std::string out = "(";
+  out += AstToString(*node.left);
+  out += op;
+  out += AstToString(*node.right);
+  out += ')';
+  return out;
+}
+
+}  // namespace
+
 std::string AstToString(const AstNode& node) {
   switch (node.kind) {
     case AstKind::kLabel:
@@ -62,11 +77,9 @@ std::string AstToString(const AstNode& node) {
     case AstKind::kWildcard:
       return "_";
     case AstKind::kSeq:
-      return "(" + AstToString(*node.left) + "." + AstToString(*node.right) +
-             ")";
+      return BinaryToString(node, '.');
     case AstKind::kAlt:
-      return "(" + AstToString(*node.left) + "|" + AstToString(*node.right) +
-             ")";
+      return BinaryToString(node, '|');
     case AstKind::kStar:
       return AstToString(*node.left) + "*";
     case AstKind::kPlus:

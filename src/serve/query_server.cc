@@ -459,7 +459,7 @@ void QueryServer::Publish() {
         &DKI_METRIC_HISTOGRAM("serve.writer.republish.latency"));
     next = std::make_shared<const IndexSnapshot>(
         master_graph_, master_.index(), master_.effective_requirements(),
-        seq_, options_.frozen);
+        seq_);
   }
   {
     std::unique_lock<std::shared_mutex> lock(snapshot_mu_);

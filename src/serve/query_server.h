@@ -82,12 +82,6 @@ class QueryServer {
     // in-memory server. After a crash, recover with RecoverDkIndex(dir) and
     // pass RecoveryStats::last_seq back as durability.start_seq.
     DurabilityOptions durability;
-    // Storage tier of every published snapshot's frozen view
-    // (query/frozen_view.h): flat by default; set
-    // frozen.memory_budget_bytes to serve from compressed/out-of-core
-    // arrays with bit-identical answers at a fraction of the resident
-    // memory.
-    FrozenViewOptions frozen;
   };
 
   // Forks a private master from `source` (deep copy; `source` is not

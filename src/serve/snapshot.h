@@ -28,15 +28,12 @@ class IndexSnapshot {
   // needs to persist this state without touching the writer's master: the
   // per-label requirements (part of the SaveDkIndex format) and the
   // write-ahead-log sequence number of the last op the snapshot includes.
-  // `frozen_options` selects the frozen view's storage tier (flat by
-  // default; memory-budgeted/out-of-core when a budget is set).
   IndexSnapshot(const DataGraph& graph, const IndexGraph& index,
                 std::vector<int> effective_requirements = {},
-                uint64_t seq = 0,
-                const FrozenViewOptions& frozen_options = {})
+                uint64_t seq = 0)
       : graph_(graph),
         index_(index.CloneOnto(&graph_)),
-        frozen_(index_, frozen_options),
+        frozen_(index_),
         effective_requirements_(std::move(effective_requirements)),
         seq_(seq) {}
 
@@ -46,7 +43,7 @@ class IndexSnapshot {
   const DataGraph& graph() const { return graph_; }
   const IndexGraph& index() const { return index_; }
 
-  // The flat-memory read path over this snapshot (query/frozen_view.h):
+  // The flat CSR read path over this snapshot (query/frozen_view.h):
   // built once here, at publish time, then shared read-only by every reader
   // evaluating against the snapshot. Same epoch as index().
   const FrozenView& frozen() const { return frozen_; }

@@ -2,12 +2,12 @@
 // the static planner picks — plain NFA traversal, the required-label
 // prefilter, or the empty short-circuit — FrozenView::Evaluate must return
 // RESULTS bit-identical to the reference EvaluateOnIndex, in both validate
-// modes, on random graphs, XMark and NASA, through the budgeted storage
-// tier, and across epochs. Stats are checked per plan shape: a plain kNfa
-// plan matches the reference pop-for-pop; a prefilter plan visits no more
-// index pairs and leaves every other counter unchanged; an empty plan
-// visits nothing. And the plan, hence the stats, must not depend on how
-// often or on which view a query ran before.
+// modes, on random graphs, XMark and NASA, and across epochs. Stats are
+// checked per plan shape: a plain kNfa plan matches the reference
+// pop-for-pop; a prefilter plan visits no more index pairs and leaves every
+// other counter unchanged; an empty plan visits nothing. And the plan,
+// hence the stats, must not depend on how often or on which view a query
+// ran before.
 
 #include <memory>
 #include <string>
@@ -114,13 +114,10 @@ struct PlanCounts {
 // Checks planner == reference(EvaluateOnIndex) for every query in both
 // validate modes on one view of `index`, plus the per-shape stats contract
 // from the file comment.
-PlanCounts ExpectPlannerMatchesReference(const IndexGraph& index,
-                                         const DataGraph& g,
-                                         const std::vector<std::string>& texts,
-                                         int64_t budget = 0) {
-  FrozenViewOptions options;
-  options.memory_budget_bytes = budget;
-  FrozenView view(index, options);
+PlanCounts ExpectPlannerMatchesReference(
+    const IndexGraph& index, const DataGraph& g,
+    const std::vector<std::string>& texts) {
+  FrozenView view(index);
   FrozenScratch scratch;
   EXPECT_EQ(view.epoch(), index.epoch());
 
@@ -129,8 +126,7 @@ PlanCounts ExpectPlannerMatchesReference(const IndexGraph& index,
     const PathExpression query = testing_util::MustParse(text, g.labels());
     for (bool validate : {true, false}) {
       const EvalPlan plan = view.PlanQuery(query, validate);
-      const std::string ctx = "plan=" + PlanName(plan) + " budget=" +
-                              std::to_string(budget) + " validate=" +
+      const std::string ctx = "plan=" + PlanName(plan) + " validate=" +
                               std::to_string(validate) + " query=" + text;
       EvalStats want_stats, got_stats;
       const std::vector<NodeId> want =
@@ -211,20 +207,6 @@ TEST(BackendDiffTest, NasaPlannerMatchesReference) {
     total.Add(ExpectPlannerMatchesReference(*index, g, queries));
   }
   total.ExpectAllShapes();
-}
-
-TEST(BackendDiffTest, BudgetedTierPlannerMatchesReference) {
-  // The planner over the compressed/spilled storage tier: the prefilter's
-  // index-parent walk and the validation tail must read the same bytes the
-  // flat representation holds.
-  XmarkOptions opt;
-  opt.scale = 0.06;
-  DataGraph g = GenerateXmarkGraph(opt).graph;
-  std::vector<std::string> queries = BackendQueries(g, 53);
-  DkIndex dk = DkIndex::Build(
-      &g, MineRequirementsFromText(queries, g.labels(), nullptr));
-  ExpectPlannerMatchesReference(dk.index(), g, queries, /*budget=*/1)
-      .ExpectAllShapes();
 }
 
 TEST(BackendDiffTest, PlannerMatchesReferenceAcrossEpochs) {

@@ -231,7 +231,9 @@ TEST(DkTuningTest, PromoteDeepChainDoesNotOverflowStack) {
   for (int i = 0; i < kChain; ++i) {
     // Distinct labels keep every chain node in its own index node, so the
     // promotion really recurses the full depth.
-    NodeId n = g.AddNode("c" + std::to_string(i));
+    std::string label = "c";
+    label += std::to_string(i);
+    NodeId n = g.AddNode(label);
     g.AddEdge(prev, n);
     prev = n;
   }

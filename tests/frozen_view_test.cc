@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -253,6 +255,21 @@ TEST(FrozenViewTest, BatchMatchesSequentialAcrossThreadCounts) {
     }
   }
   EXPECT_GT(stats_checks, 0);
+  // Persistent per-lane scratches, as a server passes them: one vector
+  // reused across thread counts (growing on demand) and both validate
+  // modes must not carry state between batches.
+  std::vector<std::unique_ptr<FrozenScratch>> lanes;
+  for (bool validate : {true, false}) {
+    const std::vector<std::vector<NodeId>> want =
+        view.EvaluateBatch(queries, nullptr, nullptr, validate);
+    for (int threads : {2, 1, 4, 8, 2}) {
+      ThreadPool pool(threads);
+      EXPECT_EQ(view.EvaluateBatch(queries, &pool, nullptr, validate, &lanes),
+                want)
+          << "persistent lanes, threads=" << threads
+          << " validate=" << validate;
+    }
+  }
   // Null pool runs inline (want_results now holds the validate=false truth).
   std::vector<std::vector<NodeId>> inline_results =
       view.EvaluateBatch(queries, nullptr, nullptr, /*validate=*/false);
@@ -345,6 +362,53 @@ TEST(FrozenViewTest, ScratchReusesAcrossViewsAndQueries) {
           << text;
     }
   }
+}
+
+TEST(FrozenViewTest, ScratchReusedAfterMutationAtSameShape) {
+  // A server thread keeps its scratch across snapshot swaps. After an edge
+  // insertion the new view has the same node count and label universe, so
+  // nothing in the scratch is resized: the generation stamps and the
+  // text-keyed compiled-query cache alone must keep answers fresh.
+  Rng rng(127);
+  DataGraph g = testing_util::RandomGraph(250, 5, 50, &rng);
+  DkIndex dk = DkIndex::Build(&g, {});
+  const FrozenView before(dk.index());
+
+  dk.AddEdge(static_cast<NodeId>(rng.UniformInt(1, g.NumNodes() - 1)),
+             static_cast<NodeId>(rng.UniformInt(1, g.NumNodes() - 1)));
+  const FrozenView after(dk.index());
+  ASSERT_EQ(after.num_data_nodes(), before.num_data_nodes());
+
+  FrozenScratch scratch;
+  for (int q = 0; q < 10; ++q) {
+    const std::string text = testing_util::RandomChainQuery(
+        g, static_cast<int>(rng.UniformInt(1, 4)), &rng);
+    const PathExpression query = testing_util::MustParse(text, g.labels());
+    (void)before.Evaluate(query, nullptr, true, &scratch);  // warm
+    EXPECT_EQ(after.Evaluate(query, nullptr, true, &scratch),
+              EvaluateOnIndex(dk.index(), query))
+        << text;
+    EXPECT_EQ(after.EvaluateOnData(query, nullptr, &scratch),
+              EvaluateOnDataGraph(g, query))
+        << text;
+  }
+}
+
+TEST(FrozenViewTest, ApproxBytesCoversTheOwnedArrays) {
+  // ApproxBytes is the view's footprint: at least four bytes per entry of
+  // every owned array (label buckets' offset arrays left out).
+  XmarkOptions opt;
+  opt.scale = 0.1;
+  DataGraph g = GenerateXmarkGraph(opt).graph;
+  AkIndex ak = AkIndex::Build(&g, 2);
+  const FrozenView view(ak.index());
+  const int64_t n = g.NumNodes();
+  const int64_t m = ak.index().NumIndexNodes();
+  const int64_t data_side = 2 * n + 2 * (n + 1) + 2 * g.NumEdges();
+  const int64_t index_side = 3 * m + 3 * (m + 1) +
+                             2 * ak.index().NumIndexEdges() + n;
+  EXPECT_GE(view.ApproxBytes(),
+            static_cast<int64_t>(sizeof(int32_t)) * (data_side + index_side));
 }
 
 // Satellite: the label inverted indexes behind the bucket-backed

@@ -30,10 +30,15 @@ struct GraphShape {
 };
 
 std::string ShapeName(const ::testing::TestParamInfo<GraphShape>& info) {
-  return "n" + std::to_string(info.param.nodes) + "_l" +
-         std::to_string(info.param.labels) + "_e" +
-         std::to_string(info.param.extra_edges) + "_s" +
-         std::to_string(info.param.seed);
+  std::string name = "n";
+  name += std::to_string(info.param.nodes);
+  name += "_l";
+  name += std::to_string(info.param.labels);
+  name += "_e";
+  name += std::to_string(info.param.extra_edges);
+  name += "_s";
+  name += std::to_string(info.param.seed);
+  return name;
 }
 
 class IndexFamilyProperty : public ::testing::TestWithParam<GraphShape> {

@@ -18,7 +18,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -53,19 +52,6 @@
 
 namespace dki {
 namespace {
-
-std::string FreshDir(const std::string& name) {
-  std::string dir = ::testing::TempDir() + "dki_recovery_" + name + "_" +
-                    std::to_string(::getpid());
-  // Start clean: remove any leftovers from a previous run of this test.
-  if (PathExists(dir)) {
-    std::string cmd = "rm -rf '" + dir + "'";
-    EXPECT_EQ(std::system(cmd.c_str()), 0);
-  }
-  std::string error;
-  EXPECT_TRUE(EnsureDir(dir, &error)) << error;
-  return dir;
-}
 
 std::string MustRead(const std::string& path) {
   std::string contents, error;
@@ -110,7 +96,8 @@ TEST(WalTest, EncodeDecodeRoundTripsAllKinds) {
 }
 
 TEST(WalTest, AppendReadAllRoundTrip) {
-  std::string dir = FreshDir("wal_roundtrip");
+  const testing_util::ScopedTempDir tmp("recovery_wal_roundtrip");
+  const std::string& dir = tmp.path();
   WriteAheadLog wal(dir + "/wal.log", /*sync_every_n=*/2,
                     /*sync_interval_ms=*/1000);
   std::string error;
@@ -136,7 +123,8 @@ TEST(WalTest, AppendReadAllRoundTrip) {
 }
 
 TEST(WalTest, MissingFileIsAnEmptyLog) {
-  std::string dir = FreshDir("wal_missing");
+  const testing_util::ScopedTempDir tmp("recovery_wal_missing");
+  const std::string& dir = tmp.path();
   std::vector<WriteAheadLog::Record> records;
   bool clean = false;
   std::string error;
@@ -147,7 +135,8 @@ TEST(WalTest, MissingFileIsAnEmptyLog) {
 }
 
 TEST(WalTest, TornTailYieldsCleanPrefixAndOpenRepairsIt) {
-  std::string dir = FreshDir("wal_torn");
+  const testing_util::ScopedTempDir tmp("recovery_wal_torn");
+  const std::string& dir = tmp.path();
   const std::string path = dir + "/wal.log";
   std::string bytes;
   for (uint64_t seq = 1; seq <= 3; ++seq) {
@@ -185,7 +174,8 @@ TEST(WalTest, TornTailYieldsCleanPrefixAndOpenRepairsIt) {
 }
 
 TEST(WalTest, CorruptMiddleRecordStopsTheCleanPrefix) {
-  std::string dir = FreshDir("wal_corrupt");
+  const testing_util::ScopedTempDir tmp("recovery_wal_corrupt");
+  const std::string& dir = tmp.path();
   const std::string path = dir + "/wal.log";
   std::string r1 = WriteAheadLog::EncodeRecord(UpdateOp::AddEdge(1, 2), 1);
   std::string r2 = WriteAheadLog::EncodeRecord(UpdateOp::AddEdge(3, 4), 2);
@@ -204,7 +194,8 @@ TEST(WalTest, CorruptMiddleRecordStopsTheCleanPrefix) {
 }
 
 TEST(WalTest, TruncateThroughKeepsOnlyNewerRecords) {
-  std::string dir = FreshDir("wal_trunc");
+  const testing_util::ScopedTempDir tmp("recovery_wal_trunc");
+  const std::string& dir = tmp.path();
   WriteAheadLog wal(dir + "/wal.log", 1, 1000);
   std::string error;
   ASSERT_TRUE(wal.Open(&error)) << error;
@@ -239,7 +230,8 @@ DkIndex BuildMovieIndex(DataGraph* g) {
 }
 
 TEST(CheckpointTest, WriteLoadRoundTrip) {
-  std::string dir = FreshDir("ckpt_roundtrip");
+  const testing_util::ScopedTempDir tmp("recovery_ckpt_roundtrip");
+  const std::string& dir = tmp.path();
   DataGraph g = testing_util::BuildMovieGraph();
   DkIndex dk = BuildMovieIndex(&g);
 
@@ -262,7 +254,8 @@ TEST(CheckpointTest, WriteLoadRoundTrip) {
 }
 
 TEST(CheckpointTest, RetainsNewestTwoAndExposesSafeTruncationSeq) {
-  std::string dir = FreshDir("ckpt_retention");
+  const testing_util::ScopedTempDir tmp("recovery_ckpt_retention");
+  const std::string& dir = tmp.path();
   DataGraph g = testing_util::BuildMovieGraph();
   DkIndex dk = BuildMovieIndex(&g);
   CheckpointStore store(dir);
@@ -283,7 +276,8 @@ TEST(CheckpointTest, RetainsNewestTwoAndExposesSafeTruncationSeq) {
 }
 
 TEST(CheckpointTest, CorruptNewestFallsBackToPrevious) {
-  std::string dir = FreshDir("ckpt_fallback");
+  const testing_util::ScopedTempDir tmp("recovery_ckpt_fallback");
+  const std::string& dir = tmp.path();
   DataGraph g = testing_util::BuildMovieGraph();
   DkIndex dk = BuildMovieIndex(&g);
   CheckpointStore store(dir);
@@ -396,7 +390,8 @@ struct CrashFixture {
 
 TEST(CrashStateTest, CleanShutdownRecoversWithNoReplay) {
   CrashFixture f = CrashFixture::Make(7001);
-  std::string dir = FreshDir("crash_clean");
+  const testing_util::ScopedTempDir tmp("recovery_crash_clean");
+  const std::string& dir = tmp.path();
   std::vector<NodeId> served =
       RunDurableSession(dir, f.original, f.reqs, f.ops, f.probe);
 
@@ -421,7 +416,8 @@ TEST(CrashStateTest, CleanShutdownRecoversWithNoReplay) {
 // the clean prefix.
 TEST(CrashStateTest, TornLogTailRecoversThePrefix) {
   CrashFixture f = CrashFixture::Make(7002);
-  std::string dir = FreshDir("crash_torn_log");
+  const testing_util::ScopedTempDir tmp("recovery_crash_torn_log");
+  const std::string& dir = tmp.path();
 
   // Build a crash state by hand: checkpoint at seq 0, then a log holding
   // ops 1..20 with a torn 21st record.
@@ -455,7 +451,8 @@ TEST(CrashStateTest, TornLogTailRecoversThePrefix) {
 // Kill point: mid-checkpoint-write. The torn temp file must be ignored.
 TEST(CrashStateTest, PartialCheckpointTempIsIgnored) {
   CrashFixture f = CrashFixture::Make(7003);
-  std::string dir = FreshDir("crash_ckpt_tmp");
+  const testing_util::ScopedTempDir tmp("recovery_crash_ckpt_tmp");
+  const std::string& dir = tmp.path();
   std::vector<NodeId> served =
       RunDurableSession(dir, f.original, f.reqs, f.ops, f.probe);
 
@@ -478,7 +475,8 @@ TEST(CrashStateTest, PartialCheckpointTempIsIgnored) {
 // Same outcome: the .tmp name is not a checkpoint.
 TEST(CrashStateTest, UnrenamedCompleteCheckpointIsIgnored) {
   CrashFixture f = CrashFixture::Make(7004);
-  std::string dir = FreshDir("crash_ckpt_unrenamed");
+  const testing_util::ScopedTempDir tmp("recovery_crash_ckpt_unrenamed");
+  const std::string& dir = tmp.path();
   std::vector<NodeId> served =
       RunDurableSession(dir, f.original, f.reqs, f.ops, f.probe);
 
@@ -502,7 +500,8 @@ TEST(CrashStateTest, UnrenamedCompleteCheckpointIsIgnored) {
 // applying the remainder must land on the same state.
 TEST(CrashStateTest, StaleLogRecordsBelowCheckpointAreSkipped) {
   CrashFixture f = CrashFixture::Make(7005);
-  std::string dir = FreshDir("crash_stale_log");
+  const testing_util::ScopedTempDir tmp("recovery_crash_stale_log");
+  const std::string& dir = tmp.path();
 
   DataGraph g = f.original;
   DkIndex dk = DkIndex::Build(&g, f.reqs);
@@ -536,7 +535,8 @@ TEST(CrashStateTest, StaleLogRecordsBelowCheckpointAreSkipped) {
 // must land on the same state the newest checkpoint would have given.
 TEST(CrashStateTest, CorruptNewestCheckpointFallsBackAndReplays) {
   CrashFixture f = CrashFixture::Make(7006);
-  std::string dir = FreshDir("crash_ckpt_corrupt");
+  const testing_util::ScopedTempDir tmp("recovery_crash_ckpt_corrupt");
+  const std::string& dir = tmp.path();
 
   DataGraph g = f.original;
   DkIndex dk = DkIndex::Build(&g, f.reqs);
@@ -581,7 +581,8 @@ TEST(CrashStateTest, CorruptNewestCheckpointFallsBackAndReplays) {
 // prefix rather than apply later ops to the wrong state.
 TEST(CrashStateTest, SequenceGapStopsReplayAtConsistentPrefix) {
   CrashFixture f = CrashFixture::Make(7007);
-  std::string dir = FreshDir("crash_gap");
+  const testing_util::ScopedTempDir tmp("recovery_crash_gap");
+  const std::string& dir = tmp.path();
 
   DataGraph g = f.original;
   DkIndex dk = DkIndex::Build(&g, f.reqs);
@@ -738,7 +739,8 @@ TEST_F(FaultInjectionTest, XmarkKillsRecoverBitIdentical) {
                             8101, 150);
   Rng rng(8102);
   for (int trial = 0; trial < 4; ++trial) {
-    std::string dir = FreshDir("xmark_kill_" + std::to_string(trial));
+    const testing_util::ScopedTempDir tmp("recovery_xmark_kill");
+    const std::string& dir = tmp.path();
     RunKillTrial(w, dir, rng.UniformInt(1000, 30000));
     if (HasFatalFailure()) return;
   }
@@ -751,7 +753,8 @@ TEST_F(FaultInjectionTest, NasaKillsRecoverBitIdentical) {
                             8201, 150);
   Rng rng(8202);
   for (int trial = 0; trial < 4; ++trial) {
-    std::string dir = FreshDir("nasa_kill_" + std::to_string(trial));
+    const testing_util::ScopedTempDir tmp("recovery_nasa_kill");
+    const std::string& dir = tmp.path();
     RunKillTrial(w, dir, rng.UniformInt(1000, 30000));
     if (HasFatalFailure()) return;
   }
@@ -785,7 +788,8 @@ TEST(DurableServerRaceTest, ReadersWriterAndCheckpointerRace) {
     }
   }
 
-  std::string dir = FreshDir("race");
+  const testing_util::ScopedTempDir tmp("recovery_race");
+  const std::string& dir = tmp.path();
   DataGraph g = original;
   DkIndex dk = DkIndex::Build(&g, reqs);
   QueryServer::Options options;

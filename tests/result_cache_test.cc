@@ -258,7 +258,8 @@ TEST(ResultCacheTest, ConcurrentMixedUseKeepsInvariants) {
   pool.ParallelFor(kIters, 8, [&](int chunk, int64_t begin, int64_t end) {
     (void)chunk;
     for (int64_t i = begin; i < end; ++i) {
-      std::string key = "q" + std::to_string(i % 17);
+      std::string key = "q";
+      key += std::to_string(i % 17);
       uint64_t epoch = static_cast<uint64_t>(i % 3);
       switch (i % 5) {
         case 0:

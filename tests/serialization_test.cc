@@ -175,7 +175,8 @@ TEST(SerializationTest, FileRoundTrip) {
   Rng rng(507);
   DataGraph g = testing_util::RandomGraph(80, 3, 10, &rng);
   DkIndex dk = DkIndex::Build(&g, {{2, 2}});
-  const std::string path = "/tmp/dki_serialization_test.dki";
+  const testing_util::ScopedTempDir tmp("serialization");
+  const std::string path = tmp.path() + "/index.dki";
   ASSERT_TRUE(SaveDkIndexToFile(dk, path));
   DataGraph loaded_graph;
   std::string error;

@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <csignal>
 #include <cstdint>
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -44,18 +43,6 @@
 
 namespace dki {
 namespace {
-
-std::string FreshDir(const std::string& name) {
-  std::string dir = ::testing::TempDir() + "dki_v2_" + name + "_" +
-                    std::to_string(::getpid());
-  if (PathExists(dir)) {
-    std::string cmd = "rm -rf '" + dir + "'";
-    EXPECT_EQ(std::system(cmd.c_str()), 0);
-  }
-  std::string error;
-  EXPECT_TRUE(EnsureDir(dir, &error)) << error;
-  return dir;
-}
 
 void ExpectSameGraph(const DataGraph& got, const DataGraph& want) {
   ASSERT_EQ(got.NumNodes(), want.NumNodes());
@@ -220,7 +207,8 @@ TEST(SerializationV2Test, TruncationSweepNeverLoads) {
 // ---------------------------------------------------------------------------
 
 TEST(CheckpointV2Test, WritesV2AndRoundTrips) {
-  std::string dir = FreshDir("roundtrip");
+  const testing_util::ScopedTempDir tmp("v2_roundtrip");
+  const std::string& dir = tmp.path();
   DataGraph g = testing_util::BuildMovieGraph();
   LabelRequirements reqs;
   reqs[g.labels().Find("title")] = 2;
@@ -251,7 +239,8 @@ TEST(CheckpointV2Test, WritesV2AndRoundTrips) {
 }
 
 TEST(CheckpointV2Test, LoadsLegacyV1Checkpoints) {
-  std::string dir = FreshDir("v1compat");
+  const testing_util::ScopedTempDir tmp("v2_v1compat");
+  const std::string& dir = tmp.path();
   DataGraph g = testing_util::BuildMovieGraph();
   DkIndex dk = DkIndex::Build(&g, {});
 
@@ -289,7 +278,8 @@ TEST(CheckpointV2Test, LoadsLegacyV1Checkpoints) {
 }
 
 TEST(CheckpointV2Test, StreamingWriteHasBoundedTransientMemory) {
-  std::string dir = FreshDir("o1peak");
+  const testing_util::ScopedTempDir tmp("v2_o1peak");
+  const std::string& dir = tmp.path();
   // Large enough that the encoded checkpoint spans many buffer-fulls even
   // after varint/delta compression (scale 4 encodes to ~350 KB).
   XmarkOptions options;
@@ -318,7 +308,8 @@ TEST(CheckpointV2Test, StreamingWriteHasBoundedTransientMemory) {
 }
 
 TEST(CheckpointV2Test, TruncationSweepNeverValidates) {
-  std::string dir = FreshDir("trunc");
+  const testing_util::ScopedTempDir tmp("v2_trunc");
+  const std::string& dir = tmp.path();
   DataGraph g = testing_util::BuildMovieGraph();
   DkIndex dk = DkIndex::Build(&g, {});
   CheckpointStore store(dir);
@@ -351,7 +342,8 @@ TEST(CheckpointV2Test, TruncationSweepNeverValidates) {
 }
 
 TEST(CheckpointV2Test, ByteFlipSweepNeverValidates) {
-  std::string dir = FreshDir("flip");
+  const testing_util::ScopedTempDir tmp("v2_flip");
+  const std::string& dir = tmp.path();
   DataGraph g = testing_util::BuildMovieGraph();
   DkIndex dk = DkIndex::Build(&g, {});
   CheckpointStore store(dir);
@@ -389,7 +381,8 @@ TEST(CheckpointV2Test, KillMidWriteNeverCorruptsRecovery) {
 #ifdef DKI_UNDER_TSAN
   GTEST_SKIP() << "fork-based fault injection is not TSan-compatible";
 #endif
-  std::string dir = FreshDir("midwrite");
+  const testing_util::ScopedTempDir tmp("v2_midwrite");
+  const std::string& dir = tmp.path();
   XmarkOptions options;
   options.scale = 0.25;
   DataGraph g = GenerateXmarkGraph(options).graph;

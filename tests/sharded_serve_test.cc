@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <chrono>
 #include <csignal>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <utility>
@@ -43,18 +42,6 @@
 
 namespace dki {
 namespace {
-
-std::string FreshDir(const std::string& name) {
-  std::string dir = ::testing::TempDir() + "dki_sharded_" + name + "_" +
-                    std::to_string(::getpid());
-  if (PathExists(dir)) {
-    std::string cmd = "rm -rf '" + dir + "'";
-    EXPECT_EQ(std::system(cmd.c_str()), 0);
-  }
-  std::string error;
-  EXPECT_TRUE(EnsureDir(dir, &error)) << error;
-  return dir;
-}
 
 // A graph the partitioner can actually spread: `subtrees` independent
 // subtrees under the root, each with random internal tree edges plus a few
@@ -219,7 +206,8 @@ TEST(ShardRouterTest, ManifestRoundTripsAndReconcilesLostReservations) {
   EXPECT_EQ(reserved->first_global, g.NumNodes());
   EXPECT_GT(reserved->new_nodes, 0);
 
-  std::string dir = FreshDir("manifest");
+  const testing_util::ScopedTempDir tmp("sharded_manifest");
+  const std::string& dir = tmp.path();
   std::string path = dir + "/router.manifest";
   std::string error;
   ASSERT_TRUE(router.SaveManifest(path, &error)) << error;
@@ -646,10 +634,9 @@ class ShardedFaultInjectionTest : public ::testing::Test {
 TEST_F(ShardedFaultInjectionTest, KillsRecoverDurablePrefixAcrossShardCounts) {
   ShardedCrashFixture f = ShardedCrashFixture::Make(43001);
   Rng rng(43002);
-  int trial = 0;
   for (int num_shards : {1, 2, 2, 4}) {
-    std::string dir = FreshDir("kill_n" + std::to_string(num_shards) + "_" +
-                               std::to_string(trial++));
+    const testing_util::ScopedTempDir tmp("sharded_kill");
+    const std::string& dir = tmp.path();
     RunShardedKillTrial(f, num_shards, dir, rng.UniformInt(2000, 25000));
     if (HasFatalFailure()) return;
   }
@@ -658,7 +645,8 @@ TEST_F(ShardedFaultInjectionTest, KillsRecoverDurablePrefixAcrossShardCounts) {
 // A clean stop must recover to the full stream on every shard.
 TEST(ShardedServeTest, CleanShutdownRecoversEveryShardCompletely) {
   ShardedCrashFixture f = ShardedCrashFixture::Make(43003);
-  std::string dir = FreshDir("clean_shutdown");
+  const testing_util::ScopedTempDir tmp("sharded_clean_shutdown");
+  const std::string& dir = tmp.path();
   ShardedQueryServer::Options opts;
   opts.num_shards = 2;
   opts.server.durability.dir = dir;

@@ -1,7 +1,12 @@
 #ifndef DKINDEX_TESTS_TEST_UTIL_H_
 #define DKINDEX_TESTS_TEST_UTIL_H_
 
+#include <stdlib.h>
+
+#include <filesystem>
 #include <string>
+#include <system_error>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -70,8 +75,9 @@ inline DataGraph RandomGraph(int n, int num_labels, int extra_edges,
   DataGraph g;
   std::vector<std::string> labels;
   for (int i = 0; i < num_labels; ++i) {
-    labels.push_back(std::string(1, static_cast<char>('a' + i % 26)) +
-                     (i >= 26 ? std::to_string(i / 26) : ""));
+    std::string label(1, static_cast<char>('a' + i % 26));
+    if (i >= 26) label += std::to_string(i / 26);
+    labels.push_back(std::move(label));
   }
   for (int i = 0; i < n; ++i) {
     NodeId node = g.AddNode(labels[static_cast<size_t>(
@@ -116,6 +122,33 @@ inline PathExpression MustParse(const std::string& text,
   DKI_CHECK(expr.has_value());
   return std::move(*expr);
 }
+
+// A fresh, uniquely named directory `<temp dir>/dki_<name>_XXXXXX`,
+// removed with everything in it when the object is destroyed. A forked
+// child that leaves by _exit() or a signal never runs the destructor, so
+// kill-point trials create the directory in the parent, which removes it.
+class ScopedTempDir {
+ public:
+  explicit ScopedTempDir(const std::string& name) {
+    std::string pattern =
+        (std::filesystem::temp_directory_path() / ("dki_" + name + "_XXXXXX"))
+            .string();
+    DKI_CHECK(::mkdtemp(pattern.data()) != nullptr);
+    path_ = std::move(pattern);
+  }
+  ~ScopedTempDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+
+  ScopedTempDir(const ScopedTempDir&) = delete;
+  ScopedTempDir& operator=(const ScopedTempDir&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 }  // namespace testing_util
 }  // namespace dki
